@@ -5,28 +5,29 @@
 // (de)serialisation, the serving loop and the kernel's loopback path —
 // which bounds what a remote deployment can lose before the network
 // itself. A second section measures single-query round-trip latency
-// percentiles (p50/p95/p99) with completion-driven delivery (the wake-pipe
-// path) against the legacy 2 ms ticket poll, so the tail-latency effect of
-// the completion path is measured, not asserted. A third section sweeps
-// concurrent connections (1/8/64/256 clients) against reactor widths
-// (io_threads 1/2/4) over a fixed budget of tiny queries, so the aggregate
-// q/s scaling of the epoll front end is measured where framing — not
-// matching — is the bottleneck. A fourth section floods one connection
-// with 10k tiny queries under {per-query SUBMIT, BATCH_SUBMIT} x {raw,
-// compressed} and reports bytes/query and q/s per cell — the wire-economy
-// numbers behind the batched/compressed framing — and writes them to
-// BENCH_net.json for machine consumption. A fifth section exercises the
-// graph catalog: round-robin routing over 1 vs 4 hosted graphs and a
-// scatter-gather shard sweep (K = 1/2/8) of one expensive query shape,
-// with per-query counts cross-checked across every cell, written to
-// BENCH_catalog.json. A sixth section reruns the 10k-query flood under
-// {metrics on (the default), metrics compiled in but disabled, metrics +
-// per-query tracing} and reports each cell's q/s overhead against the
-// disabled baseline — the observability tax, written to BENCH_obs.json.
+// percentiles (p50/p95/p99) of the completion-driven delivery path. A
+// third section sweeps concurrent connections (1/8/64/256 clients)
+// against reactor widths (io_threads 1/2/4) over a fixed budget of tiny
+// queries, so the aggregate q/s scaling of the epoll front end is
+// measured where framing — not matching — is the bottleneck; connection
+// set-up is timed apart from serving. A fourth section floods one
+// connection with 10k tiny queries under {per-query SUBMIT, BATCH_SUBMIT}
+// x {raw, compressed} and reports bytes/query and q/s per cell — the
+// wire-economy numbers behind the batched/compressed framing — and writes
+// them to BENCH_net.json for machine consumption. A fifth section
+// exercises the graph catalog: round-robin routing over 1 vs 4 hosted
+// graphs and a scatter-gather shard sweep (K = 1/2/8) of one expensive
+// query shape, with per-query counts cross-checked across every cell,
+// written to BENCH_catalog.json. A sixth section reruns the 10k-query
+// flood under {metrics on (the default), metrics compiled in but
+// disabled, metrics + per-query tracing} and reports each cell's q/s
+// overhead against the disabled baseline — the observability tax,
+// written to BENCH_obs.json.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,18 +67,14 @@ double Percentile(std::vector<double>* sorted_in_place, double p) {
 }
 
 // Unpipelined submit->wait round trips against `index`: each iteration
-// pays the full deliver-the-outcome path, so the gap between the two modes
-// is exactly the outcome-delivery latency — wake-pipe-driven (completion
-// hook) vs the legacy 2 ms ticket poll. `label` names the row;
-// `submit.timeout_seconds` may turn the query into a fixed-duration burn
-// (see DeliveryLatencySection).
+// pays the full deliver-the-outcome path (completion hook -> wake pipe ->
+// reactor write). `label` names the row; `submit.timeout_seconds` may turn
+// the query into a fixed-duration burn (see DeliveryLatencySection).
 void LatencyRow(const char* label, const IndexedHypergraph& index,
                 const Hypergraph& query, const SubmitOptions& submit,
-                const ServiceOptions& service_options, bool completion_wakeups,
-                int rounds) {
+                const ServiceOptions& service_options, int rounds) {
   ServerOptions server_options;
   server_options.service = service_options;
-  server_options.completion_wakeups = completion_wakeups;
   MatchServer server(index, server_options);
   if (!server.Start().ok()) {
     std::printf("latency       unavailable on this platform\n");
@@ -99,21 +96,17 @@ void LatencyRow(const char* label, const IndexedHypergraph& index,
   const double p50 = Percentile(&rtt, 0.50) * 1e6;
   const double p95 = Percentile(&rtt, 0.95) * 1e6;
   const double p99 = Percentile(&rtt, 0.99) * 1e6;
-  std::printf(
-      "%s/%-8s %4d rtts  p50 %9.1fus  p95 %9.1fus  p99 %9.1fus\n", label,
-      completion_wakeups ? "callback" : "poll", rounds, p50, p95, p99);
+  std::printf("%-12s %4d rtts  p50 %9.1fus  p95 %9.1fus  p99 %9.1fus\n",
+              label, rounds, p50, p95, p99);
   server.Stop();
 }
 
 // Isolates outcome-*delivery* latency from scheduling luck: a
 // combinatorial monster query with a 3 ms per-query timeout burns its
 // whole budget on the pool, so its outcome always finalises while the
-// serving thread is parked inside poll() — the completion path wakes the
-// loop through the pipe at that instant, the poll path sleeps out the
-// remainder of its 2 ms window. Subtract the 3 ms budget from the printed
-// percentiles to read the pure delivery cost. Robust down to single-core
-// hosts, where an instant query can finish before the serving thread ever
-// reaches poll() and the cadence cost hides.
+// serving thread is parked in its event wait, and the completion hook
+// wakes the loop through the pipe at that instant. Subtract the 3 ms
+// budget from the printed percentiles to read the pure delivery cost.
 void DeliveryLatencySection() {
   Hypergraph clique;
   constexpr uint32_t kVertices = 40;
@@ -134,19 +127,18 @@ void DeliveryLatencySection() {
   submit.timeout_seconds = 0.003;
 
   std::printf("-- outcome delivery (3ms budget burn; subtract 3000us) --\n");
-  LatencyRow("delivery", index, monster, submit, service_options,
-             /*completion_wakeups=*/true, 120);
-  LatencyRow("delivery", index, monster, submit, service_options,
-             /*completion_wakeups=*/false, 120);
+  LatencyRow("delivery", index, monster, submit, service_options, 120);
 }
 
 // Aggregate-throughput sweep of the reactor: C concurrent clients split a
 // fixed budget of tiny queries (single pair edge over a 16-clique — the
 // matching work is negligible, so the wire front end is the bottleneck)
-// and the table reads as q/s per (io_threads, clients) cell. On a
-// multi-core host the io_threads=4 rows should clearly beat io_threads=1
-// at 64+ clients; on a single core the sweep degenerates into a
-// context-switch bench and the rows converge.
+// and the table reads as q/s per (io_threads, clients) cell. Every client
+// connects (and completes HELLO) before the serving clock starts, and the
+// connect phase is reported apart, so a slow accept burst cannot pass for
+// serving throughput. On a multi-core host the io_threads=4 rows should
+// clearly beat io_threads=1 at 64+ clients; on a single core the sweep
+// degenerates into a context-switch bench and the rows converge.
 void ConcurrentSweepSection() {
   Hypergraph clique;
   constexpr uint32_t kVertices = 16;
@@ -178,16 +170,19 @@ void ConcurrentSweepSection() {
       }
       const uint32_t per_client = kTotalQueries / clients;
       std::atomic<bool> failed{false};
-      Timer timer;
+      std::latch connected(clients);
+      std::latch start(1);
+      Timer connect_timer;
       std::vector<std::thread> threads;
       threads.reserve(clients);
       for (uint32_t c = 0; c < clients; ++c) {
         threads.emplace_back([&] {
           MatchClient client;
-          if (!client.Connect("127.0.0.1", server.port()).ok()) {
-            failed.store(true);
-            return;
-          }
+          const bool ok = client.Connect("127.0.0.1", server.port()).ok();
+          if (!ok) failed.store(true);
+          connected.count_down();
+          start.wait();
+          if (!ok) return;
           std::vector<uint64_t> ids;
           ids.reserve(per_client);
           for (uint32_t i = 0; i < per_client; ++i) {
@@ -206,6 +201,10 @@ void ConcurrentSweepSection() {
           }
         });
       }
+      connected.wait();
+      const double connect_seconds = connect_timer.ElapsedSeconds();
+      Timer timer;
+      start.count_down();
       for (std::thread& t : threads) t.join();
       const double seconds = timer.ElapsedSeconds();
       server.Stop();
@@ -213,18 +212,20 @@ void ConcurrentSweepSection() {
         std::printf("io=%u clients=%-3u  failed\n", io_threads, clients);
         continue;
       }
-      std::printf("io=%u clients=%-3u  %5u q/conn  %8.4fs  %9.1f q/s\n",
-                  io_threads, clients, per_client, seconds,
-                  seconds > 0 ? kTotalQueries / seconds : 0);
+      std::printf(
+          "io=%u clients=%-3u  connect %8.4fs  %5u q/conn  %8.4fs  "
+          "%9.1f q/s\n",
+          io_threads, clients, connect_seconds, per_client, seconds,
+          seconds > 0 ? kTotalQueries / seconds : 0);
     }
   }
 }
 
 // One cell of the flood sweep: N tiny queries through one connection,
-// framing chosen by the feature bits the client requests (and the server
-// grants). `transfer` is the client's eye view of the wire — both
-// directions, headers included — so bytes/query compares the whole
-// framing economy, not just payload sizes.
+// sent per query or coalesced, compressed when the client requests it
+// (and the server grants it). `transfer` is the client's eye view of the
+// wire — both directions, headers included — so bytes/query compares the
+// whole framing economy, not just payload sizes.
 struct FloodCell {
   const char* mode = "";
   bool batch = false;
@@ -250,7 +251,6 @@ bool RunFloodCell(const IndexedHypergraph& index, const Hypergraph& tiny,
   if (!server.Start().ok()) return false;
 
   AsyncClientOptions copts;
-  if (cell->batch) copts.request_features |= kFeatureBatch;
   if (cell->compressed) copts.request_features |= kFeatureCompression;
   MatchClient client(copts);
   if (!client.Connect("127.0.0.1", server.port()).ok()) return false;
@@ -281,11 +281,11 @@ bool RunFloodCell(const IndexedHypergraph& index, const Hypergraph& tiny,
 
 // Small-query flood: 10k single-edge queries against a 16-clique, where
 // virtually all the cost is framing. The headline number is bytes/query
-// of BATCH_SUBMIT+compression against per-query raw SUBMIT (the v1 wire
-// protocol): batching amortises the 9-byte header and the repeated
-// submit-option block across the frame, and LZSS then collapses the
-// near-identical serialized queries, so the product of the two is the
-// reduction a small-query-heavy deployment should expect. queries/s is a
+// of BATCH_SUBMIT+compression against per-query raw SUBMIT: batching
+// amortises the 9-byte header and the repeated submit-option block across
+// the frame, and LZSS then collapses the near-identical serialized
+// queries, so the product of the two is the reduction a small-query-heavy
+// deployment should expect. queries/s is a
 // loopback number: the wire is free and client, IO thread and workers
 // share the host, so codec CPU that would overlap the (real) network and
 // run on other cores in deployment shows up serialised here — on a
@@ -426,7 +426,8 @@ void CatalogSection() {
     std::vector<NamedGraph> graphs;
     std::vector<std::string> names;
     for (uint32_t g = 0; g < num_graphs; ++g) {
-      names.push_back("g" + std::to_string(g));
+      names.push_back("g");
+      names.back() += std::to_string(g);
       graphs.push_back({names.back(), clique.Clone()});
     }
     ServerOptions server_options;
@@ -436,9 +437,7 @@ void CatalogSection() {
       std::printf("catalog       unavailable on this platform\n");
       return;
     }
-    AsyncClientOptions copts;
-    copts.request_features = kFeatureCatalog;
-    MatchClient client(copts);
+    MatchClient client;
     if (!client.Connect("127.0.0.1", server.port()).ok()) return;
 
     CatalogCell cell;
@@ -729,14 +728,9 @@ int Main(int argc, char** argv) {
       server.Stop();
     }
 
-    // Single-query round-trip tail latency: completion-driven delivery vs
-    // the legacy poll path. Small queries finish in well under a poll
-    // interval, so on multi-core hosts the poll cadence dominates their
-    // p50 — the case the completion path exists for.
+    // Single-query round-trip tail latency of a small query.
     LatencyRow("latency", dataset.index, queries.front(), SubmitOptions{},
-               service_options, /*completion_wakeups=*/true, 400);
-    LatencyRow("latency", dataset.index, queries.front(), SubmitOptions{},
-               service_options, /*completion_wakeups=*/false, 400);
+               service_options, 400);
   }
 
   DeliveryLatencySection();

@@ -36,8 +36,8 @@ struct BaselineOptions {
 
 /// Result of a match-by-vertex run. NOTE the semantics: `embeddings` counts
 /// injective *vertex mappings* f (Definition III.3), the result notion a
-/// backtracking matcher enumerates naturally; see DESIGN.md §1 for how this
-/// relates to HGMatch's hyperedge-tuple count.
+/// backtracking matcher enumerates naturally, which can differ from
+/// HGMatch's hyperedge-tuple count.
 struct BaselineResult {
   uint64_t embeddings = 0;
   uint64_t recursions = 0;

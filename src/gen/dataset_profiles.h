@@ -11,7 +11,7 @@ namespace hgmatch {
 
 /// Published shape statistics of one of the paper's ten datasets
 /// (Table II) together with a generator configuration that reproduces the
-/// shape synthetically (the offline substitute; DESIGN.md §5).
+/// shape synthetically (the offline substitute).
 struct DatasetProfile {
   std::string name;         // paper's abbreviation (HC, MA, ...)
   std::string description;  // what the real dataset contains

@@ -16,7 +16,7 @@ enum class ArityDistribution {
 };
 
 /// Configuration of the synthetic hypergraph generator. The generator is
-/// the offline substitute for the paper's public datasets (DESIGN.md §2.4):
+/// the offline substitute for the paper's public datasets:
 /// it reproduces the published shape statistics — vertex count, hyperedge
 /// count, label alphabet, arity distribution bounded by the published
 /// maximum, and heavy-tailed vertex degrees via Zipf-skewed vertex picking —

@@ -235,9 +235,8 @@ Result<Hypergraph> DecodeHypergraphFrom(Reader& r) {
   return Status::Corruption("bad magic (not an HGM1/HGM2 image)");
 }
 
-// Encodes one v1 hypergraph image into any sink exposing Append(ptr,
-// bytes) — a std::string for wire payloads, the file directly for
-// SaveHypergraph (no multi-GB intermediate image).
+// Encodes one v1 hypergraph image (the SUBMIT wire image) into any sink
+// exposing Append(ptr, bytes).
 template <typename Sink>
 void EncodeHypergraphTo(const Hypergraph& h, Sink& out) {
   const auto put = [&out](const auto value) {
@@ -358,15 +357,10 @@ Result<Hypergraph> DecodeHypergraphBinary(const void* data, size_t size) {
   return h;
 }
 
-Status SaveHypergraphBinary(const Hypergraph& h, const std::string& path,
-                            bool compress) {
+Status SaveHypergraphBinary(const Hypergraph& h, const std::string& path) {
   BinaryFile f(path, "wb");
   if (!f.ok()) return Status::IOError("cannot open " + path);
-  if (compress) {
-    EncodeHypergraphCompressedTo(h, f);
-  } else {
-    EncodeHypergraphTo(h, f);
-  }
+  EncodeHypergraphCompressedTo(h, f);
   if (!f.ok()) return Status::IOError("short write to " + path);
   return Status::OK();
 }

@@ -41,8 +41,8 @@ inline constexpr uint32_t kBinaryChunkBytes = 1u << 20;
 
 /// Appends the v1 binary encoding of `h` — the exact file image above,
 /// magic included — to *out. This is the wire image: net/protocol.cc
-/// inlines it into SUBMIT frames, where pre-HELLO peers must keep
-/// decoding it (frame-level compression is negotiated separately).
+/// inlines it into SUBMIT frames (frame-level compression is negotiated
+/// separately). It is the only v1 writer; files are always written v2.
 void AppendHypergraphBinary(const Hypergraph& h, std::string* out);
 
 /// Appends the v2 (compact + chunk-compressed) encoding of `h` to *out.
@@ -53,10 +53,8 @@ void AppendHypergraphCompressed(const Hypergraph& h, std::string* out);
 /// trailing bytes are a Corruption error like any other size mismatch.
 Result<Hypergraph> DecodeHypergraphBinary(const void* data, size_t size);
 
-/// Writes `h` to `path`: v2 compressed by default, v1 fixed-width when
-/// `compress` is false (interop with pre-v2 readers).
-Status SaveHypergraphBinary(const Hypergraph& h, const std::string& path,
-                            bool compress = true);
+/// Writes `h` to `path` in the v2 (compact + chunk-compressed) layout.
+Status SaveHypergraphBinary(const Hypergraph& h, const std::string& path);
 
 /// Reads a binary hypergraph from `path` (v1 or v2).
 Result<Hypergraph> LoadHypergraphBinary(const std::string& path);

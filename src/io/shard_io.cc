@@ -15,8 +15,7 @@ std::string ShardPath(const std::string& prefix, uint32_t index,
 
 Result<std::vector<std::string>> SaveShards(const Hypergraph& h,
                                             const std::string& prefix,
-                                            uint32_t num_shards,
-                                            bool compress) {
+                                            uint32_t num_shards) {
   if (num_shards == 0) {
     return Status::InvalidArgument("num_shards must be at least 1");
   }
@@ -25,7 +24,7 @@ Result<std::vector<std::string>> SaveShards(const Hypergraph& h,
   paths.reserve(parts.size());
   for (uint32_t k = 0; k < parts.size(); ++k) {
     std::string path = ShardPath(prefix, k, num_shards);
-    Status saved = SaveHypergraphBinary(parts[k], path, compress);
+    Status saved = SaveHypergraphBinary(parts[k], path);
     if (!saved.ok()) return saved;
     paths.push_back(std::move(path));
   }

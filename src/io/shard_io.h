@@ -12,7 +12,7 @@ namespace hgmatch {
 
 /// On-disk layout of a storage-sharded hypergraph (core/shard.h): each
 /// part is an ordinary .hgb file (io/binary_format.h, HGM2 chunked +
-/// compressed by default), named
+/// compressed), named
 ///
 ///   <prefix>.shard<k>-of<K>.hgb      k in [0, K)
 ///
@@ -27,8 +27,7 @@ std::string ShardPath(const std::string& prefix, uint32_t index,
 /// ShardPath(prefix, k, num_shards). Returns the written paths.
 Result<std::vector<std::string>> SaveShards(const Hypergraph& h,
                                             const std::string& prefix,
-                                            uint32_t num_shards,
-                                            bool compress = true);
+                                            uint32_t num_shards);
 
 /// Loads every path as a binary hypergraph part and merges them
 /// (MergeShards): the round-trip inverse of SaveShards, and the way a

@@ -60,12 +60,11 @@ void AppendFrame(FrameType type, std::string_view payload, std::string* out) {
   out->append(payload);
 }
 
-std::string EncodeSubmit(const WireSubmit& submit, bool with_graph) {
-  return EncodeSubmit(submit, submit.query, with_graph);
+std::string EncodeSubmit(const WireSubmit& submit) {
+  return EncodeSubmit(submit, submit.query);
 }
 
-std::string EncodeSubmit(const WireSubmit& fields, const Hypergraph& query,
-                         bool with_graph) {
+std::string EncodeSubmit(const WireSubmit& fields, const Hypergraph& query) {
   std::string payload;
   AppendValue<uint64_t>(fields.request_id, &payload);
   AppendValue<uint32_t>(fields.tenant_id, &payload);
@@ -75,12 +74,12 @@ std::string EncodeSubmit(const WireSubmit& fields, const Hypergraph& query,
   AppendValue<uint64_t>(fields.limit, &payload);
   // The graph name sits before the query image because the image consumes
   // the remainder of the payload.
-  if (with_graph) AppendString(fields.graph, &payload);
+  AppendString(fields.graph, &payload);
   AppendHypergraphBinary(query, &payload);
   return payload;
 }
 
-Result<WireSubmit> DecodeSubmit(std::string_view payload, bool with_graph) {
+Result<WireSubmit> DecodeSubmit(std::string_view payload) {
   ByteReader r(payload);
   WireSubmit submit;
   submit.request_id = r.ReadValue<uint64_t>();
@@ -89,8 +88,7 @@ Result<WireSubmit> DecodeSubmit(std::string_view payload, bool with_graph) {
   submit.weight = r.ReadValue<double>();
   submit.timeout_seconds = r.ReadValue<double>();
   submit.limit = r.ReadValue<uint64_t>();
-  if (!r.ok()) return Status::Corruption("truncated SUBMIT frame");
-  if (with_graph && !ReadString(r, &submit.graph)) {
+  if (!r.ok() || !ReadString(r, &submit.graph)) {
     return Status::Corruption("truncated SUBMIT frame");
   }
   const std::string_view image = r.rest();
@@ -103,7 +101,7 @@ Result<WireSubmit> DecodeSubmit(std::string_view payload, bool with_graph) {
   return submit;
 }
 
-std::string EncodeOutcome(const WireOutcome& wire, bool with_trace) {
+std::string EncodeOutcome(const WireOutcome& wire) {
   const QueryOutcome& out = wire.outcome;
   std::string payload;
   AppendValue<uint64_t>(wire.request_id, &payload);
@@ -119,32 +117,27 @@ std::string EncodeOutcome(const WireOutcome& wire, bool with_trace) {
   AppendValue<double>(out.admit_seconds, &payload);
   AppendValue<double>(out.finish_seconds, &payload);
   AppendValue<uint64_t>(out.admit_index, &payload);
-  if (with_trace) {
-    // Trailing trace section, present only between kFeatureTrace peers:
-    // untraced peers keep the byte-identical pre-trace payload above.
-    const QuerySpan& span = out.span;
-    AppendValue<uint8_t>(span.enabled ? 1 : 0, &payload);
-    if (span.enabled) {
-      AppendValue<double>(span.submit_seconds, &payload);
-      AppendValue<double>(span.admit_seconds, &payload);
-      AppendValue<double>(span.first_task_seconds, &payload);
-      AppendValue<double>(span.last_task_seconds, &payload);
-      AppendValue<double>(span.resolve_seconds, &payload);
-      AppendValue<double>(span.deliver_seconds, &payload);
-      AppendVarint(span.slices.size(), &payload);
-      for (const TraceSlice& s : span.slices) {
-        AppendValue<uint32_t>(s.slice, &payload);
-        AppendValue<double>(s.admit_seconds, &payload);
-        AppendValue<double>(s.first_task_seconds, &payload);
-        AppendValue<double>(s.finish_seconds, &payload);
-      }
+  const QuerySpan& span = out.span;
+  AppendValue<uint8_t>(span.enabled ? 1 : 0, &payload);
+  if (span.enabled) {
+    AppendValue<double>(span.submit_seconds, &payload);
+    AppendValue<double>(span.admit_seconds, &payload);
+    AppendValue<double>(span.first_task_seconds, &payload);
+    AppendValue<double>(span.last_task_seconds, &payload);
+    AppendValue<double>(span.resolve_seconds, &payload);
+    AppendValue<double>(span.deliver_seconds, &payload);
+    AppendVarint(span.slices.size(), &payload);
+    for (const TraceSlice& s : span.slices) {
+      AppendValue<uint32_t>(s.slice, &payload);
+      AppendValue<double>(s.admit_seconds, &payload);
+      AppendValue<double>(s.first_task_seconds, &payload);
+      AppendValue<double>(s.finish_seconds, &payload);
     }
   }
   return payload;
 }
 
-Result<WireOutcome> DecodeOutcome(std::string_view payload,
-                                  bool with_trace) {
+Result<WireOutcome> DecodeOutcome(std::string_view payload) {
   ByteReader r(payload);
   WireOutcome wire;
   wire.request_id = r.ReadValue<uint64_t>();
@@ -165,33 +158,31 @@ Result<WireOutcome> DecodeOutcome(std::string_view payload,
   out.admit_seconds = r.ReadValue<double>();
   out.finish_seconds = r.ReadValue<double>();
   out.admit_index = r.ReadValue<uint64_t>();
-  if (with_trace) {
-    const uint8_t enabled = r.ReadValue<uint8_t>();
-    if (r.ok() && enabled > 1) {
+  const uint8_t enabled = r.ReadValue<uint8_t>();
+  if (r.ok() && enabled > 1) {
+    return Status::Corruption("malformed OUTCOME trace section");
+  }
+  if (r.ok() && enabled == 1) {
+    QuerySpan& span = out.span;
+    span.enabled = true;
+    span.submit_seconds = r.ReadValue<double>();
+    span.admit_seconds = r.ReadValue<double>();
+    span.first_task_seconds = r.ReadValue<double>();
+    span.last_task_seconds = r.ReadValue<double>();
+    span.resolve_seconds = r.ReadValue<double>();
+    span.deliver_seconds = r.ReadValue<double>();
+    const uint64_t slices = ReadVarint(r);
+    // 28 bytes per row; the bound keeps a corrupt count from turning into
+    // a giant allocation before the length check can fail.
+    if (!r.ok() || slices > r.remaining() / 28) {
       return Status::Corruption("malformed OUTCOME trace section");
     }
-    if (r.ok() && enabled == 1) {
-      QuerySpan& span = out.span;
-      span.enabled = true;
-      span.submit_seconds = r.ReadValue<double>();
-      span.admit_seconds = r.ReadValue<double>();
-      span.first_task_seconds = r.ReadValue<double>();
-      span.last_task_seconds = r.ReadValue<double>();
-      span.resolve_seconds = r.ReadValue<double>();
-      span.deliver_seconds = r.ReadValue<double>();
-      const uint64_t slices = ReadVarint(r);
-      // 28 bytes per row; the bound keeps a corrupt count from turning
-      // into a giant allocation before the length check can fail.
-      if (!r.ok() || slices > r.remaining() / 28) {
-        return Status::Corruption("malformed OUTCOME trace section");
-      }
-      span.slices.resize(slices);
-      for (TraceSlice& s : span.slices) {
-        s.slice = r.ReadValue<uint32_t>();
-        s.admit_seconds = r.ReadValue<double>();
-        s.first_task_seconds = r.ReadValue<double>();
-        s.finish_seconds = r.ReadValue<double>();
-      }
+    span.slices.resize(slices);
+    for (TraceSlice& s : span.slices) {
+      s.slice = r.ReadValue<uint32_t>();
+      s.admit_seconds = r.ReadValue<double>();
+      s.first_task_seconds = r.ReadValue<double>();
+      s.finish_seconds = r.ReadValue<double>();
     }
   }
   if (!r.ok() || r.remaining() != 0) {
@@ -270,12 +261,8 @@ std::string EncodeStats(const WireStats& stats) {
     AppendValue<uint64_t>(t.bytes_out, &payload);
     AppendValue<uint64_t>(t.rejects, &payload);
   }
-  // Per-graph rows trail the original layout; the decoder treats them as
-  // optional, so a payload from a pre-catalog encoder still parses.
   AppendVarint(stats.graphs.size(), &payload);
   for (const WireGraphStats& g : stats.graphs) AppendGraphStats(g, &payload);
-  // Uptime + slow-query section trails the graph rows as a second
-  // optional tier (absent from pre-observability encoders).
   AppendValue<double>(stats.uptime_seconds, &payload);
   AppendValue<double>(stats.monotonic_seconds, &payload);
   AppendVarint(stats.slow_queries.size(), &payload);
@@ -309,7 +296,8 @@ Result<WireStats> DecodeStats(std::string_view payload) {
   if (!r.ok()) return Status::Corruption("malformed STATS frame");
   // 6 u64 counters per row; the bound keeps a corrupt count from turning
   // into a giant allocation before the length check can fail. A lower
-  // bound (not equality) because per-graph rows may trail the IO rows.
+  // bound (not equality) because the graph rows and the uptime section
+  // follow the IO rows.
   if (r.remaining() < static_cast<size_t>(threads) * 48) {
     return Status::Corruption("malformed STATS frame");
   }
@@ -322,44 +310,35 @@ Result<WireStats> DecodeStats(std::string_view payload) {
     t.bytes_out = r.ReadValue<uint64_t>();
     t.rejects = r.ReadValue<uint64_t>();
   }
-  if (!r.ok()) return Status::Corruption("malformed STATS frame");
-  if (r.remaining() > 0) {
-    // Optional graph-row section from a catalog-era server.
-    const uint64_t count = ReadVarint(r);
-    if (!r.ok() || count > r.remaining()) {
+  const uint64_t graphs = ReadVarint(r);
+  if (!r.ok() || graphs > r.remaining()) {
+    return Status::Corruption("malformed STATS frame");
+  }
+  stats.graphs.resize(graphs);
+  for (WireGraphStats& g : stats.graphs) {
+    if (!ReadGraphStats(r, &g)) {
       return Status::Corruption("malformed STATS frame");
-    }
-    stats.graphs.resize(count);
-    for (WireGraphStats& g : stats.graphs) {
-      if (!ReadGraphStats(r, &g)) {
-        return Status::Corruption("malformed STATS frame");
-      }
     }
   }
-  if (r.ok() && r.remaining() > 0) {
-    // Second optional tier: uptime + slow-query ring (observability-era
-    // servers). A payload that has graph rows but ends before this point
-    // is a valid pre-observability encoding.
-    stats.uptime_seconds = r.ReadValue<double>();
-    stats.monotonic_seconds = r.ReadValue<double>();
-    const uint64_t count = ReadVarint(r);
-    // >= 37 bytes per row (fixed fields + 1-byte name length); the bound
-    // keeps a corrupt count from turning into a giant allocation.
-    if (!r.ok() || count > r.remaining() / 37) {
+  stats.uptime_seconds = r.ReadValue<double>();
+  stats.monotonic_seconds = r.ReadValue<double>();
+  const uint64_t slow = ReadVarint(r);
+  // >= 37 bytes per row (fixed fields + 1-byte name length); the bound
+  // keeps a corrupt count from turning into a giant allocation.
+  if (!r.ok() || slow > r.remaining() / 37) {
+    return Status::Corruption("malformed STATS frame");
+  }
+  stats.slow_queries.resize(slow);
+  for (WireSlowQuery& s : stats.slow_queries) {
+    s.request_id = r.ReadValue<uint64_t>();
+    s.tenant_id = r.ReadValue<uint32_t>();
+    if (!ReadString(r, &s.graph)) {
       return Status::Corruption("malformed STATS frame");
     }
-    stats.slow_queries.resize(count);
-    for (WireSlowQuery& s : stats.slow_queries) {
-      s.request_id = r.ReadValue<uint64_t>();
-      s.tenant_id = r.ReadValue<uint32_t>();
-      if (!ReadString(r, &s.graph)) {
-        return Status::Corruption("malformed STATS frame");
-      }
-      s.total_seconds = r.ReadValue<double>();
-      s.queue_seconds = r.ReadValue<double>();
-      s.run_seconds = r.ReadValue<double>();
-      s.deliver_seconds = r.ReadValue<double>();
-    }
+    s.total_seconds = r.ReadValue<double>();
+    s.queue_seconds = r.ReadValue<double>();
+    s.run_seconds = r.ReadValue<double>();
+    s.deliver_seconds = r.ReadValue<double>();
   }
   if (!r.ok() || r.remaining() != 0) {
     return Status::Corruption("malformed STATS frame");

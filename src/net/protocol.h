@@ -25,17 +25,42 @@ namespace hgmatch {
 /// error: the server answers with one kError frame and closes the
 /// connection, cancelling that connection's in-flight queries.
 ///
+/// There is one protocol. Every connection opens with kHello; any other
+/// first frame (and any later kHello) is a protocol error. kHello carries
+/// the two opt-in behaviours — compression (granted only when the
+/// operator enabled it) and per-query tracing — and kHelloReply answers
+/// with the granted bits. Batching and catalog routing are not options:
+/// the reply always sets kFeatureBatch and kFeatureCatalog, every SUBMIT
+/// carries a graph name, every OUTCOME carries a trace section, and
+/// replies always travel in kBatchOutcome frames.
+///
 /// Frame payloads:
-///   kSubmit     client->server  WireSubmit (options + inline query
-///                               hypergraph in the io/binary_format image)
-///   kOutcome    server->client  WireOutcome (full QueryOutcome/MatchStats)
+///   kHello      client->server  u32 requested feature bits (kFeature*).
+///                               Mandatory first frame.
+///   kHelloReply server->client  u32 granted feature bits. Only granted
+///                               opt-ins may be used afterwards, in either
+///                               direction.
+///   kSubmit     client->server  WireSubmit (options + target graph name +
+///                               inline query hypergraph in the
+///                               io/binary_format image)
+///   kBatchSubmit client->server [varint count][varint bytes, SUBMIT
+///                               payload]... — many submissions in one
+///                               frame/syscall, admitted by the service in
+///                               one pass
+///   kBatchOutcome server->client same framing over OUTCOME payloads
+///                               (WireOutcome: full QueryOutcome/MatchStats
+///                               plus the trace section): every outcome
+///                               ready in the same reactor tick coalesces
+///                               into one frame
+///   kOutcome    (reserved)      never sent: outcomes always travel in
+///                               kBatchOutcome
 ///   kRejected   server->client  WireRejected (u64 request id + u8 reason):
 ///                               the submission was shed at the server edge
 ///                               — by queue-depth backpressure
-///                               (SchedulerOptions::max_queued_queries) or
-///                               by the per-tenant rate limiter
-///                               (ServerOptions::max_submits_per_sec) —
-///                               retry once the backlog/window drains
+///                               (SchedulerOptions::max_queued_queries), by
+///                               the per-tenant rate limiter
+///                               (ServerOptions::max_submits_per_sec), or
+///                               because it named an unknown graph
 ///   kCancel     client->server  u64 request id (unknown ids are ignored:
 ///                               the race with completion is benign)
 ///   kPing       client->server  arbitrary payload, echoed back
@@ -46,23 +71,6 @@ namespace hgmatch {
 ///   kShutdown   client->server  empty; asks the server process to finish
 ///                               outstanding work and exit (honoured only
 ///                               with ServerOptions::allow_remote_shutdown)
-///   kHello      client->server  u32 requested feature bits (kFeature*).
-///                               Optional: a client that wants no optional
-///                               feature sends no HELLO and the stream is
-///                               byte-identical to the pre-HELLO protocol,
-///                               so old and new peers always interoperate.
-///   kHelloReply server->client  u32 granted feature bits (a subset of the
-///                               request). Only features granted here may
-///                               appear on the wire afterwards, in either
-///                               direction.
-///   kBatchSubmit client->server [varint count][varint bytes, SUBMIT
-///                               payload]... — many submissions in one
-///                               frame/syscall, admitted by the service in
-///                               one pass. Requires kFeatureBatch.
-///   kBatchOutcome server->client same framing over OUTCOME payloads:
-///                               outcomes ready in the same reactor tick
-///                               coalesce into one frame. Sent only to
-///                               peers granted kFeatureBatch.
 ///   kCompressed either way      [u8 inner type][varint raw bytes][LZSS
 ///                               stream] — a whole frame payload
 ///                               compressed (io/compress.h), opt-in per
@@ -72,22 +80,17 @@ namespace hgmatch {
 ///                               protocol error, not an allocation.
 ///   kLoadGraph  client->server  WireCatalogRequest (graph name + a
 ///                               server-side .hgb path): load and index
-///                               the file, serve it under the name.
-///                               Requires kFeatureCatalog.
+///                               the file, serve it under the name
+///                               (honoured only with
+///                               ServerOptions::allow_remote_load).
 ///   kUnloadGraph client->server WireCatalogRequest (name; path unused):
 ///                               remove the graph once its in-flight
-///                               queries resolve. Requires kFeatureCatalog.
-///   kListGraphs client->server  empty. Requires kFeatureCatalog.
+///                               queries resolve.
+///   kListGraphs client->server  empty.
 ///   kCatalogReply server->client WireCatalogReply: ok/error of the verb
 ///                               plus the current graph list (every
 ///                               catalog verb answers with one, so a
 ///                               client always sees the post-verb state).
-///
-/// Catalog-negotiated peers (kFeatureCatalog granted) additionally carry
-/// an optional graph name in every SUBMIT/BATCH_SUBMIT entry, routing the
-/// query to a named graph (empty = the server's default graph); peers
-/// that never negotiated keep the original byte stream and always hit the
-/// default graph.
 inline constexpr uint32_t kWireMagic = 0x314e'4748;  // "HGN1"
 
 /// Upper bound on a frame payload (a ~16 MiB query hypergraph is far
@@ -99,7 +102,7 @@ inline constexpr size_t kWireHeaderBytes = 4 + 1 + 4;
 
 enum class FrameType : uint8_t {
   kSubmit = 1,
-  kOutcome = 2,
+  kOutcome = 2,  // reserved: never sent (see kBatchOutcome)
   kRejected = 3,
   kCancel = 4,
   kPing = 5,
@@ -120,15 +123,17 @@ enum class FrameType : uint8_t {
 };
 
 /// Feature bits carried by kHello / kHelloReply.
+/// Frame compression: granted only when the server enables it
+/// (ServerOptions::enable_compression).
 inline constexpr uint32_t kFeatureCompression = 1u << 0;
+/// Batching and catalog routing are part of the base protocol: every
+/// kHelloReply sets both bits, whatever the peer requested.
 inline constexpr uint32_t kFeatureBatch = 1u << 1;
 inline constexpr uint32_t kFeatureCatalog = 1u << 2;
 /// Per-query tracing: the server records a QuerySpan for every submission
-/// on the connection and appends it to each OUTCOME payload as a trailing
-/// optional section (see the with_trace flag of EncodeOutcome /
-/// DecodeOutcome). Peers that never negotiated the bit keep the
-/// byte-identical pre-trace stream — the same compatibility pattern as
-/// kFeatureCatalog's SUBMIT graph field.
+/// on the connection and fills the OUTCOME trace section with it. Without
+/// the grant the section is a single 0 byte. An opt-in because span
+/// capture costs time on every query.
 inline constexpr uint32_t kFeatureTrace = 1u << 3;
 
 /// Payloads below this size skip the compression attempt outright: the
@@ -146,9 +151,7 @@ struct WireSubmit {
   double weight = 1.0;
   double timeout_seconds = -1;              // < 0 = inherit server default
   uint64_t limit = ~uint64_t{0};            // SubmitOptions::kInheritLimit
-  /// Target graph in the server's catalog (empty = default graph). On the
-  /// wire only between catalog-negotiated peers — see the with_graph flag
-  /// of EncodeSubmit/DecodeSubmit.
+  /// Target graph in the server's catalog (empty = default graph).
   std::string graph;
   Hypergraph query;
 };
@@ -241,15 +244,13 @@ struct WireStats {
 
   std::vector<WireIoThreadStats> io_threads;  // one row per IO thread
 
-  /// One row per hosted graph (default first). Absent on the wire when
-  /// the server predates the catalog — decoders leave it empty then.
+  /// One row per hosted graph (default first).
   std::vector<WireGraphStats> graphs;
 
-  /// Trailing optional uptime section (absent from pre-observability
-  /// encoders; decoders leave the defaults then): how long the server has
-  /// been up, the process-monotonic clock at snapshot time (lets a client
-  /// align span stamps from traced outcomes with this snapshot), and the
-  /// slow-query ring (newest last; empty when --slow-query-ms is off).
+  /// How long the server has been up, the process-monotonic clock at
+  /// snapshot time (lets a client align span stamps from traced outcomes
+  /// with this snapshot), and the slow-query ring (newest last; empty when
+  /// --slow-query-ms is off).
   double uptime_seconds = 0;
   double monotonic_seconds = 0;
   std::vector<WireSlowQuery> slow_queries;
@@ -273,29 +274,20 @@ struct WireCatalogReply {
 /// Appends one complete frame (header + payload) to *out.
 void AppendFrame(FrameType type, std::string_view payload, std::string* out);
 
-/// with_graph selects the catalog-negotiated SUBMIT layout, which carries
-/// WireSubmit::graph before the query image. It must match on both ends:
-/// pass true exactly when the connection was granted kFeatureCatalog
-/// (batch entries inherit the connection's flag).
-std::string EncodeSubmit(const WireSubmit& submit, bool with_graph = false);
+/// SUBMIT payload: the fixed option fields, the graph name, then the
+/// query image (which runs to the end of the payload).
+std::string EncodeSubmit(const WireSubmit& submit);
 /// Encode variant that reads the query from the caller instead of
 /// `fields.query` (whose value is ignored), so senders need not clone a
 /// hypergraph into the move-only WireSubmit just to serialise it.
-std::string EncodeSubmit(const WireSubmit& fields, const Hypergraph& query,
-                         bool with_graph = false);
-Result<WireSubmit> DecodeSubmit(std::string_view payload,
-                                bool with_graph = false);
+std::string EncodeSubmit(const WireSubmit& fields, const Hypergraph& query);
+Result<WireSubmit> DecodeSubmit(std::string_view payload);
 
-/// with_trace selects the trace-negotiated OUTCOME layout, which appends
-/// the query's QuerySpan (enabled flag, six stamps, per-slice rows) after
-/// the fixed fields. It must match on both ends: pass true exactly when
-/// the connection was granted kFeatureTrace (batch entries inherit the
-/// connection's flag). With with_trace=true and an untraced outcome the
-/// section is a single 0 byte.
-std::string EncodeOutcome(const WireOutcome& outcome,
-                          bool with_trace = false);
-Result<WireOutcome> DecodeOutcome(std::string_view payload,
-                                  bool with_trace = false);
+/// OUTCOME payload: the fixed fields, then the trace section — the
+/// query's QuerySpan (enabled flag, six stamps, per-slice rows), or a
+/// single 0 byte for an untraced outcome.
+std::string EncodeOutcome(const WireOutcome& outcome);
+Result<WireOutcome> DecodeOutcome(std::string_view payload);
 
 std::string EncodeRejected(const WireRejected& rejected);
 Result<WireRejected> DecodeRejected(std::string_view payload);

@@ -409,10 +409,6 @@ class ServiceImpl {
 
   uint32_t num_threads() const { return sched_->num_threads(); }
 
-  uint64_t finished_queries() const {
-    return finished_.load(std::memory_order_acquire);
-  }
-
   ServiceGauges Gauges() {
     ServiceGauges g;
     g.finished = finished_.load(std::memory_order_acquire);
@@ -620,13 +616,11 @@ class ServiceImpl {
     }
     rec->mirrors.clear();
     if (rec->sched_index != kNotScheduled || rec->fan != nullptr) {
-      // The finished-count gate of the wire server's poll fallback: bumped
-      // strictly after this record's resolved flag AND after its mirrors
-      // resolved (the fetch_add is visible to the lock-free sweep while
-      // resolve_mutex_ is still held — a bump before the mirror loop would
-      // let the sweep latch its gate past a mirror that resolves a few
-      // instructions later and strand its outcome), so an observer of the
-      // advanced count always finds every dependent outcome retrievable.
+      // The finished count (ServiceGauges::finished): bumped strictly after
+      // this record's resolved flag AND after its mirrors resolved (the
+      // fetch_add is visible to lock-free readers while resolve_mutex_ is
+      // still held), so an observer of the advanced count always finds
+      // every dependent outcome retrievable.
       // A sharded record's fan is set before any slice is submitted, so
       // no attachment catch-up is needed on the fan path.
       finished_.fetch_add(1, std::memory_order_release);
@@ -663,7 +657,7 @@ class ServiceImpl {
   // the index was known: a query can finalise on the pool (or synchronously
   // inside Submit, on the rejection path) before Submit's caller regains
   // control, and ResolveLocked then finds kNotScheduled. The catch-up also
-  // performs the finished-count bump that gates the poll fallback.
+  // performs the finished-count bump.
   void AttachSchedIndex(const std::shared_ptr<QueryRecord>& rec,
                         uint32_t index) {
     bool cancel = false;
@@ -1411,10 +1405,6 @@ void MatchService::Drain() { impl_->Drain(); }
 ServiceReport MatchService::Shutdown() { return impl_->Shutdown(); }
 
 uint32_t MatchService::num_threads() const { return impl_->num_threads(); }
-
-uint64_t MatchService::finished_queries() const {
-  return impl_->finished_queries();
-}
 
 ServiceGauges MatchService::Gauges() { return impl_->Gauges(); }
 

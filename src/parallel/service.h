@@ -358,16 +358,6 @@ class MatchService {
   /// Resolved pool size.
   uint32_t num_threads() const;
 
-  /// Monotonic count of pool submissions whose outcome has finalised *and*
-  /// become retrievable through Ticket::TryGet (any terminal status;
-  /// mirrors resolved from their canonical and plan errors resolve without
-  /// touching it, while a re-dispatched mirror is a pool submission of its
-  /// own and counts when it resolves). One atomic load
-  /// — a poller (the wire server's poll fallback) can skip scanning its
-  /// tickets while this has not advanced, and an advance guarantees the
-  /// corresponding TryGet calls succeed.
-  uint64_t finished_queries() const;
-
   /// Live observability snapshot (see ServiceGauges). Thread-safe;
   /// non-const because sampling the scheduler's slot gauges performs its
   /// amortised sweeps.

@@ -330,10 +330,6 @@ bool GraphCatalog::Cancel(const CatalogTicket& ticket) {
   return cancelled;
 }
 
-uint64_t GraphCatalog::finished_queries() const {
-  return finished_->load(std::memory_order_acquire);
-}
-
 uint32_t GraphCatalog::num_threads() const {
   return pool_ != nullptr ? pool_->num_threads() : 0;
 }

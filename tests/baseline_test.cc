@@ -162,7 +162,7 @@ TEST_P(BaselineOracleTest, MatchesVertexOracle) {
     }
   }
 
-  // The bipartite strawman agrees with the vertex oracle too (DESIGN.md).
+  // The bipartite strawman agrees with the vertex oracle too.
   Result<pairwise::PairwiseResult> bg = MatchViaBipartite(data, q.value());
   ASSERT_TRUE(bg.ok());
   EXPECT_EQ(bg.value().embeddings, expected);

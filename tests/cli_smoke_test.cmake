@@ -62,12 +62,9 @@ endfunction()
 # stats: 7 vertices, 6 hyperedges.
 run_cli("\\|V\\|=7 \\|E\\|=6" stats ${WORK_DIR}/data.hg)
 
-# Round-trip through the binary format (compressed v2 by default, plus
-# the --v1 compatibility layout).
+# Round-trip through the (compressed v2) binary format.
 run_cli("wrote" convert ${WORK_DIR}/data.hg ${WORK_DIR}/data.hgb)
 run_cli("\\|V\\|=7 \\|E\\|=6" stats ${WORK_DIR}/data.hgb)
-run_cli("wrote" convert ${WORK_DIR}/data.hg ${WORK_DIR}/data_v1.hgb --v1)
-run_cli("\\|V\\|=7 \\|E\\|=6" stats ${WORK_DIR}/data_v1.hgb)
 
 # Sequential and parallel match: exactly 2 embeddings.
 run_cli("embeddings: 2 in" match ${WORK_DIR}/data.hg ${WORK_DIR}/query.hg 1)
@@ -178,13 +175,13 @@ if(UNIX)
           --connect=127.0.0.1:${SERVE_PORT} ${WORK_DIR}/queries.hgq)
   run_cli("query 2: embeddings 2 in [0-9.]+s  \\[ok\\] \\(mirrored\\)" query
           --connect=127.0.0.1:${SERVE_PORT} ${WORK_DIR}/queries.hgq)
-  # The same queryset through negotiated batching + compression: one
-  # BATCH_SUBMIT frame, identical counts, and the framing-stats line
-  # reports the granted features.
+  # The same queryset coalesced into one BATCH_SUBMIT frame with
+  # negotiated compression: identical counts, and the framing-stats line
+  # reports the granted opt-in.
   run_cli("remote: 3 queries \\(3 completed, 0 rejected\\), embeddings 6 in"
           query --connect=127.0.0.1:${SERVE_PORT} ${WORK_DIR}/queries.hgq
           --batch --compress)
-  run_cli("wire: granted batch compress, sent" query
+  run_cli("wire: granted compress, sent" query
           --connect=127.0.0.1:${SERVE_PORT} ${WORK_DIR}/queries.hgq
           --batch --compress)
   run_cli("remote: 3 queries \\(3 completed, 0 rejected\\), embeddings 6 in"

@@ -283,45 +283,50 @@ TEST(BinaryV2Test, ChunkDeclaringOversizeRawIsRejected) {
   EXPECT_FALSE(r.ok());
 }
 
+// Writes `bytes` verbatim to `path` (true on success).
+bool WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) ==
+                  bytes.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 TEST(BinaryV2Test, SaveLoadParityBothVersions) {
   const Hypergraph h = GenerateHypergraph(SmallRandomConfig(23));
   const std::string dir = ::testing::TempDir();
+  std::string v1;
+  AppendHypergraphBinary(h, &v1);
 
-  for (const bool compress : {false, true}) {
+  for (const bool compressed : {false, true}) {
     const std::string path =
-        dir + (compress ? "/parity_v2.hgb" : "/parity_v1.hgb");
-    ASSERT_TRUE(SaveHypergraphBinary(h, path, compress).ok());
+        dir + (compressed ? "/parity_v2.hgb" : "/parity_v1.hgb");
+    ASSERT_TRUE(compressed ? SaveHypergraphBinary(h, path).ok()
+                           : WriteFileBytes(path, v1));
     Result<Hypergraph> back = LoadHypergraphBinary(path);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
-    std::string a, b;
-    AppendHypergraphBinary(h, &a);
+    std::string b;
     AppendHypergraphBinary(back.value(), &b);
-    EXPECT_EQ(a, b) << "compress=" << compress;
+    EXPECT_EQ(v1, b) << "compressed=" << compressed;
     std::remove(path.c_str());
   }
 }
 
 TEST(BinaryV2Test, V1FilesStillLoad) {
-  // Backward compatibility: files written before the v2 bump (i.e. with
-  // compress=false, the old writer's exact image) load unchanged.
+  // The v1 reader stays: a file holding the v1 image (the SUBMIT wire
+  // image) loads unchanged.
   const Hypergraph h = PaperDataHypergraph();
   const std::string path = ::testing::TempDir() + "/legacy_v1.hgb";
-  ASSERT_TRUE(SaveHypergraphBinary(h, path, /*compress=*/false).ok());
-
   std::string v1;
   AppendHypergraphBinary(h, &v1);
-  // The uncompressed file image is byte-identical to the v1 wire image.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string file_bytes(v1.size() + 1, '\0');
-  const size_t got = std::fread(file_bytes.data(), 1, file_bytes.size(), f);
-  std::fclose(f);
-  file_bytes.resize(got);
-  EXPECT_EQ(file_bytes, v1);
+  ASSERT_TRUE(WriteFileBytes(path, v1));
 
   Result<Hypergraph> back = LoadHypergraphBinary(path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().NumEdges(), h.NumEdges());
+  std::string again;
+  AppendHypergraphBinary(back.value(), &again);
+  EXPECT_EQ(again, v1);
   std::remove(path.c_str());
 }
 

@@ -216,22 +216,16 @@ TEST(IoTest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(IoTest, BinaryFileRoundTripsInBothOnDiskVersions) {
-  // The binary writer defaults to the compressed v2 (HGM2) layout; the
-  // --v1 escape hatch writes the uncompressed v1 layout. Both must load
-  // back to an identical hypergraph through the same entry point.
+TEST(IoTest, BinaryFileRoundTrips) {
+  // The binary writer emits the compressed v2 (HGM2) layout; it loads
+  // back to an identical hypergraph.
   Hypergraph h = GenerateHypergraph(SmallRandomConfig(2));
-  const std::string v2 = ::testing::TempDir() + "/hg_io_test_v2.hgb";
-  const std::string v1 = ::testing::TempDir() + "/hg_io_test_v1.hgb";
-  ASSERT_TRUE(SaveHypergraphBinary(h, v2).ok());
-  ASSERT_TRUE(SaveHypergraphBinary(h, v1, /*compress=*/false).ok());
-  for (const std::string& path : {v2, v1}) {
-    Result<Hypergraph> loaded = LoadHypergraphBinary(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(FormatHypergraph(loaded.value()), FormatHypergraph(h)) << path;
-  }
-  std::remove(v2.c_str());
-  std::remove(v1.c_str());
+  const std::string path = ::testing::TempDir() + "/hg_io_test_v2.hgb";
+  ASSERT_TRUE(SaveHypergraphBinary(h, path).ok());
+  Result<Hypergraph> loaded = LoadHypergraphBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(FormatHypergraph(loaded.value()), FormatHypergraph(h));
+  std::remove(path.c_str());
 }
 
 TEST(IoTest, ParserAcceptsCommentsAndBlankLines) {

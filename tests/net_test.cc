@@ -26,6 +26,7 @@
 #include "core/hgmatch.h"
 #include "io/binary_format.h"
 #include "io/byte_io.h"
+#include "obs/metrics.h"
 #include "tests/test_fixtures.h"
 #include "util/rng.h"
 
@@ -185,52 +186,41 @@ TEST(ProtocolTest, StatsFrameRoundTripsGraphRows) {
   EXPECT_EQ(decoded.value().graphs[1].name, "users");
   EXPECT_FALSE(decoded.value().graphs[1].is_default);
 
-  // The graph section is optional on the wire: a pre-catalog payload
-  // (nothing after the IO rows) still decodes, with no graph rows. The
-  // encoder now emits the graph varint (1 byte here) plus the 17-byte
-  // uptime/slow-query tier after the IO rows; strip both to reproduce
-  // the v1 byte stream.
-  WireStats old_style;
-  old_style.num_threads = 1;
-  std::string encoded = EncodeStats(old_style);
-  const std::string trailer_free = encoded.substr(0, encoded.size() - 18);
-  Result<WireStats> old_decoded = DecodeStats(trailer_free);
-  ASSERT_TRUE(old_decoded.ok()) << old_decoded.status().ToString();
-  EXPECT_TRUE(old_decoded.value().graphs.empty());
+  // The graph section is mandatory: a payload that ends after the IO
+  // rows (dropping the 1-byte graph count and the 17-byte uptime tier) is
+  // corruption.
+  WireStats bare;
+  bare.num_threads = 1;
+  const std::string encoded = EncodeStats(bare);
+  EXPECT_FALSE(DecodeStats(encoded.substr(0, encoded.size() - 18)).ok());
 }
 
-TEST(ProtocolTest, SubmitFrameCarriesGraphOnlyWhenNegotiated) {
+TEST(ProtocolTest, SubmitFrameRoundTripsGraphName) {
   WireSubmit submit;
   submit.request_id = 9;
   submit.query = PaperQueryHypergraph();
   submit.graph = "orders";
 
-  // Negotiated peers round-trip the route.
-  Result<WireSubmit> routed =
-      DecodeSubmit(EncodeSubmit(submit, /*with_graph=*/true),
-                   /*with_graph=*/true);
+  Result<WireSubmit> routed = DecodeSubmit(EncodeSubmit(submit));
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_EQ(routed.value().graph, "orders");
   EXPECT_EQ(routed.value().request_id, 9u);
   EXPECT_EQ(routed.value().query.NumEdges(), submit.query.NumEdges());
 
-  // Without the feature the field never reaches the wire, so a v1 decoder
-  // sees a byte-identical pre-catalog payload.
-  WireSubmit plain;
-  plain.request_id = 9;
-  plain.query = PaperQueryHypergraph();
-  EXPECT_EQ(EncodeSubmit(submit, /*with_graph=*/false), EncodeSubmit(plain));
+  // The empty name (the default graph) round-trips too.
+  submit.graph.clear();
   Result<WireSubmit> unrouted = DecodeSubmit(EncodeSubmit(submit));
   ASSERT_TRUE(unrouted.ok());
   EXPECT_TRUE(unrouted.value().graph.empty());
 
   // A graph-name length running past the payload is corruption.
-  std::string truncated = EncodeSubmit(submit, /*with_graph=*/true);
-  truncated.resize(20);
-  EXPECT_FALSE(DecodeSubmit(truncated, /*with_graph=*/true).ok());
+  submit.graph = "orders";
+  std::string truncated = EncodeSubmit(submit);
+  truncated.resize(43);
+  EXPECT_FALSE(DecodeSubmit(truncated).ok());
 }
 
-TEST(ProtocolTest, OutcomeFrameCarriesTraceOnlyWhenNegotiated) {
+TEST(ProtocolTest, OutcomeFrameRoundTripsTraceSection) {
   WireOutcome wire;
   wire.request_id = 11;
   wire.outcome.stats.embeddings = 7;
@@ -244,10 +234,8 @@ TEST(ProtocolTest, OutcomeFrameCarriesTraceOnlyWhenNegotiated) {
   wire.outcome.span.slices.push_back({0, 1.25, 1.5, 1.9});
   wire.outcome.span.slices.push_back({1, 1.3, 0, 2.0});
 
-  // Negotiated peers round-trip the whole timeline, slices included.
-  Result<WireOutcome> traced =
-      DecodeOutcome(EncodeOutcome(wire, /*with_trace=*/true),
-                    /*with_trace=*/true);
+  // The whole timeline round-trips, slices included.
+  Result<WireOutcome> traced = DecodeOutcome(EncodeOutcome(wire));
   ASSERT_TRUE(traced.ok()) << traced.status().ToString();
   const QuerySpan& span = traced.value().outcome.span;
   EXPECT_TRUE(span.enabled);
@@ -262,31 +250,23 @@ TEST(ProtocolTest, OutcomeFrameCarriesTraceOnlyWhenNegotiated) {
   EXPECT_EQ(span.slices[1].first_task_seconds, 0.0);
   EXPECT_EQ(span.slices[1].finish_seconds, 2.0);
 
-  // Without the feature the section never reaches the wire: the payload
-  // is byte-identical to a pre-trace encoding of the same outcome.
-  WireOutcome plain;
-  plain.request_id = 11;
-  plain.outcome.stats.embeddings = 7;
-  EXPECT_EQ(EncodeOutcome(wire, /*with_trace=*/false), EncodeOutcome(plain));
-  Result<WireOutcome> untraced = DecodeOutcome(EncodeOutcome(wire));
-  ASSERT_TRUE(untraced.ok());
-  EXPECT_FALSE(untraced.value().outcome.span.enabled);
-
-  // An untraced submission on a traced connection carries one "disabled"
-  // byte; anything other than 0/1 there is corruption, as is truncation
-  // anywhere inside the section.
+  // An untraced outcome carries one "disabled" byte; a missing section,
+  // anything other than 0/1 there, and truncation anywhere inside the
+  // section are corruption.
   WireOutcome quiet;
-  std::string encoded = EncodeOutcome(quiet, /*with_trace=*/true);
-  Result<WireOutcome> off = DecodeOutcome(encoded, /*with_trace=*/true);
+  std::string encoded = EncodeOutcome(quiet);
+  Result<WireOutcome> off = DecodeOutcome(encoded);
   ASSERT_TRUE(off.ok());
   EXPECT_FALSE(off.value().outcome.span.enabled);
+  EXPECT_FALSE(
+      DecodeOutcome(std::string_view(encoded).substr(0, encoded.size() - 1))
+          .ok());
   encoded.back() = 7;
-  EXPECT_FALSE(DecodeOutcome(encoded, /*with_trace=*/true).ok());
-  std::string full = EncodeOutcome(wire, /*with_trace=*/true);
+  EXPECT_FALSE(DecodeOutcome(encoded).ok());
+  std::string full = EncodeOutcome(wire);
   for (size_t cut : {size_t{1}, size_t{8}, size_t{20}}) {
     EXPECT_FALSE(
-        DecodeOutcome(std::string_view(full).substr(0, full.size() - cut),
-                      /*with_trace=*/true)
+        DecodeOutcome(std::string_view(full).substr(0, full.size() - cut))
             .ok())
         << "cut " << cut;
   }
@@ -322,18 +302,13 @@ TEST(ProtocolTest, StatsFrameRoundTripsUptimeAndSlowQueries) {
   EXPECT_EQ(decoded.value().slow_queries[0].deliver_seconds, 0.05);
   EXPECT_EQ(decoded.value().slow_queries[1].request_id, 0u);
 
-  // The tier is optional, exactly like the graph section before it: a
-  // pre-observability payload (nothing after the graph rows) still
-  // decodes, with zero uptime and no slow rows.
+  // The tier is mandatory: a payload that ends after the graph rows
+  // (dropping the uptime + monotonic doubles and the varint 0 slow count,
+  // 17 bytes) is corruption.
   WireStats bare;
   bare.num_threads = 1;
-  std::string encoded = EncodeStats(bare);
-  // uptime + monotonic doubles + the varint 0 slow count = 17 bytes.
-  const std::string trailer_free = encoded.substr(0, encoded.size() - 17);
-  Result<WireStats> old_decoded = DecodeStats(trailer_free);
-  ASSERT_TRUE(old_decoded.ok()) << old_decoded.status().ToString();
-  EXPECT_EQ(old_decoded.value().uptime_seconds, 0.0);
-  EXPECT_TRUE(old_decoded.value().slow_queries.empty());
+  const std::string encoded = EncodeStats(bare);
+  EXPECT_FALSE(DecodeStats(encoded.substr(0, encoded.size() - 17)).ok());
 
   // Truncation inside a slow row (or a hostile row count) is corruption.
   std::string full = EncodeStats(stats);
@@ -858,6 +833,19 @@ class RawConn {
            static_cast<ssize_t>(bytes.size());
   }
   void HalfClose() { ::shutdown(fd_, SHUT_WR); }
+  // Reads until `reader` yields one complete frame; false on EOF, a read
+  // error or an unparseable stream.
+  bool NextFrame(FrameReader* reader, FrameReader::Frame* frame) {
+    char buffer[4096];
+    while (true) {
+      Result<bool> next = reader->Next(frame);
+      if (!next.ok()) return false;
+      if (next.value()) return true;
+      const ssize_t got = ::read(fd_, buffer, sizeof(buffer));
+      if (got <= 0) return false;
+      reader->Feed(buffer, static_cast<size_t>(got));
+    }
+  }
   // Reads until EOF; returns everything received.
   std::string ReadAll() {
     std::string all;
@@ -873,16 +861,33 @@ class RawConn {
   int fd_ = -1;
 };
 
-void ExpectErrorFrameThenEof(RawConn& conn) {
+// The mandatory opening frame of every raw-socket stream.
+std::string HelloFrame(uint32_t features = 0) {
+  std::string frame;
+  AppendFrame(FrameType::kHello, EncodeFeatures(features), &frame);
+  return frame;
+}
+
+// The reply stream must hold exactly one kError frame (preceded by the
+// HELLO grant when `after_hello`), then EOF.
+void ExpectErrorFrameThenEof(RawConn& conn, bool after_hello = false) {
   const std::string reply = conn.ReadAll();  // EOF proves the server closed
   FrameReader reader;
   reader.Feed(reply.data(), reply.size());
   FrameReader::Frame frame;
+  if (after_hello) {
+    ASSERT_TRUE(reader.Next(&frame).value());
+    EXPECT_EQ(frame.type, FrameType::kHelloReply);
+  }
   Result<bool> next = reader.Next(&frame);
   ASSERT_TRUE(next.ok());
   ASSERT_TRUE(next.value());
   EXPECT_EQ(frame.type, FrameType::kError);
   EXPECT_FALSE(frame.payload.empty());
+  next = reader.Next(&frame);
+  ASSERT_TRUE(next.ok());
+  EXPECT_FALSE(next.value()) << "frames after kError";
+  EXPECT_EQ(reader.buffered(), 0u);
 }
 
 TEST(NetTest, EofFlushesRepliesEarnedByTheFinalBurst) {
@@ -895,7 +900,7 @@ TEST(NetTest, EofFlushesRepliesEarnedByTheFinalBurst) {
 
   RawConn conn;
   ASSERT_TRUE(conn.Connect(server.port()));
-  std::string burst;
+  std::string burst = HelloFrame();
   AppendFrame(FrameType::kPing, "one", &burst);
   AppendFrame(FrameType::kPing, "two", &burst);
   ASSERT_TRUE(conn.Send(burst));
@@ -905,6 +910,8 @@ TEST(NetTest, EofFlushesRepliesEarnedByTheFinalBurst) {
   FrameReader reader;
   reader.Feed(reply.data(), reply.size());
   FrameReader::Frame frame;
+  ASSERT_TRUE(reader.Next(&frame).value());
+  EXPECT_EQ(frame.type, FrameType::kHelloReply);
   std::vector<std::string> pongs;
   while (true) {
     Result<bool> next = reader.Next(&frame);
@@ -966,13 +973,13 @@ TEST(NetTest, UndecodablePayloadCancelsConnectionQueries) {
     WireSubmit submit;
     submit.request_id = 1;
     submit.query = PathQuery(4);
-    std::string stream;
+    std::string stream = HelloFrame();
     AppendFrame(FrameType::kSubmit, EncodeSubmit(submit), &stream);
     // ...followed by a syntactically valid frame with an undecodable body.
     AppendFrame(FrameType::kSubmit, "definitely not a hypergraph", &stream);
     ASSERT_TRUE(conn.Send(stream));
   }
-  ExpectErrorFrameThenEof(conn);
+  ExpectErrorFrameThenEof(conn, /*after_hello=*/true);
   ASSERT_TRUE(EventuallyTrue([&] {
     Result<WireStats> s = observer.Stats();
     return s.ok() && s.value().cancelled_by_disconnect == 1 &&
@@ -1058,78 +1065,51 @@ TEST(NetTest, RemoteShutdownIsRefusedWhenDisabled) {
   server.Stop();
 }
 
-TEST(NetTest, PollFallbackStillDeliversOutcomes) {
-  // ServerOptions::completion_wakeups = false keeps the legacy 2 ms ticket
-  // poll alive as an operational escape hatch (and as the baseline of the
-  // bench_net_loopback latency comparison); parity, pipelining and cancel
-  // must hold there too.
-  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(8));
-  ServerOptions options = LoopbackOptions(2);
-  options.completion_wakeups = false;
-  MatchServer server(idx, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  const uint64_t expected1 =
-      MatchSequential(idx, PathQuery(1)).value().embeddings;
-  const uint64_t expected2 =
-      MatchSequential(idx, PathQuery(2)).value().embeddings;
-
-  MatchClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  std::vector<uint64_t> ids;
-  for (uint32_t k : {1u, 2u, 1u}) {
-    Result<uint64_t> id = client.Submit(PathQuery(k));
-    ASSERT_TRUE(id.ok());
-    ids.push_back(id.value());
-  }
-  for (size_t i = ids.size(); i-- > 0;) {
-    Result<WireOutcome> reply = client.WaitOutcome(ids[i]);
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply.value().outcome.stats.embeddings,
-              i % 2 == 0 ? expected1 : expected2);
-  }
-  server.Stop();
-}
-
-TEST(NetTest, PollFallbackDeliversRedispatchedMirrorOutcomes) {
-  // Regression: the poll fallback's sweep gate (finished_queries) is read
-  // lock-free while the service resolves a canonical and settles its
-  // mirrors under its resolve lock. The gate must only advance once the
-  // mirrors are settled too — a bump in between let the sweep latch past a
-  // mirror and strand its outcome forever (this test then hangs into its
-  // TIMEOUT). The mirror does not inherit the canonical's cancellation:
-  // it re-dispatches and its outcome arrives with its own exact counts.
+TEST(NetTest, RedispatchedMirrorOutcomesAreDelivered) {
+  // A mirror of a cancelled canonical does not inherit the cancellation:
+  // it re-dispatches as its own execution, and its outcome still reaches
+  // the wire with exact counts (a stranded outcome hangs this test into
+  // its TIMEOUT). A monster plug holds the only admission slot, so the
+  // canonical and its mirror are both still queued when the cancel lands.
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
   const uint64_t expected =
-      MatchSequential(idx, PathQuery(4)).value().embeddings;
+      MatchSequential(idx, PathQuery(1)).value().embeddings;
   ServerOptions options = LoopbackOptions(2);
   options.service.parallel.scan_grain = 64;
   options.service.task_quota = 64;  // plan_cache stays on (default)
-  options.completion_wakeups = false;
+  options.service.max_inflight_queries = 1;
   MatchServer server(idx, options);
   ASSERT_TRUE(server.Start().ok());
 
+  const Counter* redispatched = MetricsRegistry::Default().GetCounter(
+      "hgmatch_queries_redispatched_total");
+  const uint64_t redispatched_before = redispatched->Value();
   MatchClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  Result<uint64_t> canonical = client.Submit(PathQuery(4));
-  Result<uint64_t> mirror = client.Submit(PathQuery(4));  // attaches in flight
-  ASSERT_TRUE(canonical.ok() && mirror.ok());
+  Result<uint64_t> plug = client.Submit(PathQuery(4));
+  Result<uint64_t> canonical = client.Submit(PathQuery(1));
+  Result<uint64_t> mirror = client.Submit(PathQuery(1));  // attaches
+  ASSERT_TRUE(plug.ok() && canonical.ok() && mirror.ok());
   ASSERT_TRUE(client.Cancel(canonical.value()).ok());
-
-  // Both outcomes must arrive: the canonical's cancellation, and the
-  // re-dispatched mirror's own complete run.
   Result<WireOutcome> canonical_reply = client.WaitOutcome(canonical.value());
   ASSERT_TRUE(canonical_reply.ok());
   EXPECT_EQ(canonical_reply.value().outcome.status, QueryStatus::kCancelled);
+
+  // Freeing the slot lets the re-dispatched mirror run to completion.
+  ASSERT_TRUE(client.Cancel(plug.value()).ok());
   Result<WireOutcome> mirror_reply = client.WaitOutcome(mirror.value());
   ASSERT_TRUE(mirror_reply.ok());
   EXPECT_EQ(mirror_reply.value().outcome.status, QueryStatus::kOk);
   EXPECT_FALSE(mirror_reply.value().outcome.mirrored);
   EXPECT_EQ(mirror_reply.value().outcome.stats.embeddings, expected);
+  EXPECT_EQ(redispatched->Value() - redispatched_before, 1u);
+  Result<WireOutcome> plug_reply = client.WaitOutcome(plug.value());
+  ASSERT_TRUE(plug_reply.ok());
+  EXPECT_EQ(plug_reply.value().outcome.status, QueryStatus::kCancelled);
   server.Stop();
 }
 
-// ------------------------------------------- negotiated batch/compression --
+// ------------------------------------------------ HELLO and the opt-ins --
 
 TEST(NetTest, HelloNegotiatesBatchAndCompressionAndKeepsExactCounts) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(8));
@@ -1144,10 +1124,11 @@ TEST(NetTest, HelloNegotiatesBatchAndCompressionAndKeepsExactCounts) {
       MatchSequential(idx, PathQuery(2)).value().embeddings;
 
   AsyncClientOptions copts;
-  copts.request_features = kFeatureBatch | kFeatureCompression;
+  copts.request_features = kFeatureCompression;
   MatchClient client(copts);
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  EXPECT_EQ(client.features(), kFeatureBatch | kFeatureCompression);
+  EXPECT_EQ(client.features(),
+            kFeatureBatch | kFeatureCatalog | kFeatureCompression);
 
   const Hypergraph q1 = PathQuery(1);
   const Hypergraph q2 = PathQuery(2);
@@ -1174,21 +1155,66 @@ TEST(NetTest, HelloNegotiatesBatchAndCompressionAndKeepsExactCounts) {
   EXPECT_LT(ts.frames_received, kQueries);
   EXPECT_GT(ts.bytes_sent, 0u);
   EXPECT_GT(ts.bytes_received, 0u);
+
+  // A HELLO requesting nothing is still granted batching and catalog
+  // routing, and its outcomes come back in BATCH_OUTCOME frames.
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(server.port()));
+  WireSubmit submit;
+  submit.request_id = 1;
+  submit.query = PathQuery(1);
+  std::string stream = HelloFrame(0);
+  AppendFrame(FrameType::kSubmit, EncodeSubmit(submit), &stream);
+  ASSERT_TRUE(conn.Send(stream));
+  FrameReader reader;
+  FrameReader::Frame frame;
+  ASSERT_TRUE(conn.NextFrame(&reader, &frame));
+  ASSERT_EQ(frame.type, FrameType::kHelloReply);
+  EXPECT_EQ(DecodeFeatures(frame.payload).value(),
+            kFeatureBatch | kFeatureCatalog);
+  ASSERT_TRUE(conn.NextFrame(&reader, &frame));
+  ASSERT_EQ(frame.type, FrameType::kBatchOutcome);
+  Result<std::vector<std::string_view>> entries =
+      DecodeBatchPayload(frame.payload);
+  ASSERT_TRUE(entries.ok());
+  ASSERT_EQ(entries.value().size(), 1u);
+  Result<WireOutcome> raw_outcome = DecodeOutcome(entries.value()[0]);
+  ASSERT_TRUE(raw_outcome.ok());
+  EXPECT_EQ(raw_outcome.value().request_id, 1u);
+  EXPECT_EQ(raw_outcome.value().outcome.stats.embeddings, expected1);
+  EXPECT_FALSE(raw_outcome.value().outcome.span.enabled);
   server.Stop();
+
+  // A default client routes graph-named submissions with no request.
+  std::vector<NamedGraph> graphs;
+  graphs.push_back({"small", PaperDataHypergraph()});
+  graphs.push_back({"big", PairCliqueData(8)});
+  MatchServer catalog_server(std::move(graphs), LoopbackOptions(2));
+  ASSERT_TRUE(catalog_server.Start().ok());
+  MatchClient plain;
+  ASSERT_TRUE(plain.Connect("127.0.0.1", catalog_server.port()).ok());
+  EXPECT_EQ(plain.features(), kFeatureBatch | kFeatureCatalog);
+  Result<uint64_t> routed = plain.SubmitTo("big", PathQuery(1));
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  Result<WireOutcome> routed_reply = plain.WaitOutcome(routed.value());
+  ASSERT_TRUE(routed_reply.ok());
+  EXPECT_EQ(routed_reply.value().outcome.stats.embeddings, expected1);
+  catalog_server.Stop();
 }
 
 TEST(NetTest, CompressionGrantRequiresServerOptIn) {
-  // The server always grants batching but only grants compression when
-  // the operator enabled it; the client degrades gracefully.
+  // The server always grants batching and catalog routing but only grants
+  // compression when the operator enabled it; the client degrades
+  // gracefully.
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(8));
   MatchServer server(idx, LoopbackOptions(2));  // enable_compression off
   ASSERT_TRUE(server.Start().ok());
 
   AsyncClientOptions copts;
-  copts.request_features = kFeatureBatch | kFeatureCompression;
+  copts.request_features = kFeatureCompression;
   MatchClient client(copts);
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  EXPECT_EQ(client.features(), kFeatureBatch);
+  EXPECT_EQ(client.features(), kFeatureBatch | kFeatureCatalog);
 
   const uint64_t expected =
       MatchSequential(idx, PathQuery(1)).value().embeddings;
@@ -1204,68 +1230,37 @@ TEST(NetTest, CompressionGrantRequiresServerOptIn) {
   server.Stop();
 }
 
-TEST(NetTest, SubmitBatchFallsBackToPerQueryFramesWithoutNegotiation) {
-  // A client that never sent HELLO can still call SubmitBatch: it decays
-  // to per-query SUBMIT frames against any server.
-  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(8));
-  MatchServer server(idx, LoopbackOptions(2));
-  ASSERT_TRUE(server.Start().ok());
-
-  MatchClient client;  // request_features = 0: no HELLO at all
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  EXPECT_EQ(client.features(), 0u);
-
-  const uint64_t expected =
-      MatchSequential(idx, PathQuery(1)).value().embeddings;
-  const Hypergraph q = PathQuery(1);
-  Result<std::vector<uint64_t>> ids = client.SubmitBatch({&q, &q});
-  ASSERT_TRUE(ids.ok());
-  ASSERT_EQ(ids.value().size(), 2u);
-  for (uint64_t id : ids.value()) {
-    Result<WireOutcome> reply = client.WaitOutcome(id);
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply.value().outcome.stats.embeddings, expected);
-  }
-  server.Stop();
-}
-
-TEST(NetTest, PreHelloClientInteropsWithCompressionEnabledServer) {
-  // Old-client/new-server interop: a client that never sends HELLO gets
-  // the plain v1 byte stream even from a server with compression enabled.
-  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-  ServerOptions options = LoopbackOptions(2);
-  options.enable_compression = true;
-  MatchServer server(idx, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  const MatchStats expected =
-      MatchSequential(idx, PaperQueryHypergraph()).value();
-  MatchClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  ASSERT_TRUE(client.Ping().ok());
-  Result<uint64_t> id = client.Submit(PaperQueryHypergraph());
-  ASSERT_TRUE(id.ok());
-  Result<WireOutcome> reply = client.WaitOutcome(id.value());
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply.value().outcome.stats.embeddings, expected.embeddings);
-  server.Stop();
-}
-
-TEST(NetTest, BatchSubmitWithoutHelloIsAProtocolError) {
+TEST(NetTest, FramesBeforeHelloAreAProtocolError) {
+  // HELLO is the mandatory first frame: anything else gets exactly one
+  // kError, then the close.
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   MatchServer server(idx, LoopbackOptions(1));
   ASSERT_TRUE(server.Start().ok());
 
-  RawConn conn;
-  ASSERT_TRUE(conn.Connect(server.port()));
   WireSubmit submit;
   submit.request_id = 1;
   submit.query = PaperQueryHypergraph();
-  std::string stream;
-  AppendFrame(FrameType::kBatchSubmit,
-              EncodeBatchPayload({EncodeSubmit(submit)}), &stream);
-  ASSERT_TRUE(conn.Send(stream));
-  ExpectErrorFrameThenEof(conn);
+  const struct {
+    const char* name;
+    FrameType type;
+    std::string payload;
+  } cases[] = {
+      {"SUBMIT", FrameType::kSubmit, EncodeSubmit(submit)},
+      {"PING", FrameType::kPing, "ping"},
+      {"STATS", FrameType::kStats, ""},
+      {"BATCH_SUBMIT", FrameType::kBatchSubmit,
+       EncodeBatchPayload({EncodeSubmit(submit)})},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    RawConn conn;
+    ASSERT_TRUE(conn.Connect(server.port()));
+    std::string stream;
+    AppendFrame(c.type, c.payload, &stream);
+    ASSERT_TRUE(conn.Send(stream));
+    ExpectErrorFrameThenEof(conn);
+  }
+  EXPECT_EQ(server.Stats().submitted, 0u);
   server.Stop();
 }
 
@@ -1279,8 +1274,7 @@ TEST(NetTest, DuplicateRequestIdsInsideABatchCloseTheConnection) {
   WireSubmit submit;
   submit.request_id = 9;  // twice in one frame
   submit.query = PaperQueryHypergraph();
-  std::string stream;
-  AppendFrame(FrameType::kHello, EncodeFeatures(kFeatureBatch), &stream);
+  std::string stream = HelloFrame();
   AppendFrame(FrameType::kBatchSubmit,
               EncodeBatchPayload({EncodeSubmit(submit), EncodeSubmit(submit)}),
               &stream);
@@ -1364,10 +1358,14 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
   MatchServer server(idx, options);
   ASSERT_TRUE(server.Start().ok());
 
-  // The corpus of valid byte streams the mutations start from.
+  // The corpus of valid byte streams the mutations start from. Every
+  // stream opens with the mandatory HELLO, requesting both opt-ins, so
+  // mutants reach the decoders behind it instead of stopping at the
+  // first-frame check.
+  const std::string hello = HelloFrame(kFeatureCompression | kFeatureTrace);
   std::vector<std::string> corpus;
   {
-    std::string s;
+    std::string s = hello;
     AppendFrame(FrameType::kPing, "fuzz", &s);
     corpus.push_back(s);
   }
@@ -1375,26 +1373,46 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
     WireSubmit submit;
     submit.request_id = 1;
     submit.query = PaperQueryHypergraph();
-    std::string s;
+    std::string s = hello;
     AppendFrame(FrameType::kSubmit, EncodeSubmit(submit), &s);
     corpus.push_back(s);
   }
   {
-    std::string s;
+    // Traced, graph-routed submissions: one to the default graph by name,
+    // one to a graph the server does not host.
+    WireSubmit routed;
+    routed.request_id = 2;
+    routed.limit = 1;
+    routed.graph = "default";
+    routed.query = PaperQueryHypergraph();
+    WireSubmit unknown;
+    unknown.request_id = 3;
+    unknown.graph = "missing";
+    unknown.query = PaperQueryHypergraph();
+    std::string s = hello;
+    AppendFrame(FrameType::kSubmit, EncodeSubmit(routed), &s);
+    AppendFrame(FrameType::kSubmit, EncodeSubmit(unknown), &s);
+    corpus.push_back(s);
+  }
+  {
+    std::string s = hello;
     AppendFrame(FrameType::kCancel, EncodeRequestId(7), &s);
     AppendFrame(FrameType::kStats, "", &s);
     corpus.push_back(s);
   }
   {
-    std::string s;
+    std::string s = hello;
+    AppendFrame(FrameType::kListGraphs, "", &s);
+    corpus.push_back(s);
+  }
+  {
+    std::string s = hello;
     AppendFrame(FrameType::kShutdown, "", &s);  // disabled => error path
     corpus.push_back(s);
   }
   {
-    // HELLO then a two-entry batch: the negotiated batch path.
-    std::string s;
-    AppendFrame(FrameType::kHello,
-                EncodeFeatures(kFeatureBatch | kFeatureCompression), &s);
+    // A two-entry batch.
+    std::string s = hello;
     WireSubmit a;
     a.request_id = 11;
     a.query = PaperQueryHypergraph();
@@ -1406,9 +1424,8 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
     corpus.push_back(s);
   }
   {
-    // HELLO then a compressed SUBMIT wrapper: the kCompressed unwrap path.
-    std::string s;
-    AppendFrame(FrameType::kHello, EncodeFeatures(kFeatureCompression), &s);
+    // A compressed SUBMIT wrapper: the kCompressed unwrap path.
+    std::string s = hello;
     WireSubmit submit;
     submit.request_id = 13;
     submit.query = PaperQueryHypergraph();
@@ -1417,14 +1434,13 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
     corpus.push_back(s);
   }
   {
-    // HELLO then an inflation bomb: a kCompressed wrapper declaring an
-    // absurd raw size. The decode bound must hold under every mutation.
+    // An inflation bomb: a kCompressed wrapper declaring an absurd raw
+    // size. The decode bound must hold under every mutation.
     std::string bomb;
     bomb.push_back(static_cast<char>(FrameType::kSubmit));
     AppendVarint(uint64_t{1} << 42, &bomb);
     bomb.append(128, '\x55');
-    std::string s;
-    AppendFrame(FrameType::kHello, EncodeFeatures(kFeatureCompression), &s);
+    std::string s = hello;
     AppendFrame(FrameType::kCompressed, bomb, &s);
     corpus.push_back(s);
   }
@@ -1446,13 +1462,13 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
       ASSERT_FALSE(saw_error) << "iteration " << iteration
                               << ": frames after kError";
       switch (frame.type) {
-        case FrameType::kOutcome:
         case FrameType::kRejected:
         case FrameType::kPong:
         case FrameType::kStatsReply:
         case FrameType::kHelloReply:
         case FrameType::kBatchOutcome:
         case FrameType::kCompressed:
+        case FrameType::kCatalogReply:
           break;  // legal replies to a mutant that stayed well-formed
         case FrameType::kError:
           saw_error = true;
@@ -1481,29 +1497,28 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
       case 1:  // truncation
         bytes.resize(rng.NextBounded(bytes.size()));
         break;
+      // Header rewrites hit the first frame after the HELLO, so the
+      // mutant gets past the first-frame check.
       case 2: {  // length-field rewrite: oversized, undersized, or huge
-        if (bytes.size() >= kWireHeaderBytes) {
-          uint32_t len;
-          switch (rng.NextBounded(3)) {
-            case 0: len = kMaxWirePayload + 1; break;       // over the bound
-            case 1: len = static_cast<uint32_t>(            // wrong but legal
-                        rng.NextBounded(kMaxWirePayload)); break;
-            default: len = 0xffffffffu; break;              // absurd
-          }
-          bytes.replace(5, 4, reinterpret_cast<const char*>(&len), 4);
+        uint32_t len;
+        switch (rng.NextBounded(3)) {
+          case 0: len = kMaxWirePayload + 1; break;       // over the bound
+          case 1: len = static_cast<uint32_t>(            // wrong but legal
+                      rng.NextBounded(kMaxWirePayload)); break;
+          default: len = 0xffffffffu; break;              // absurd
         }
+        bytes.replace(hello.size() + 5, 4,
+                      reinterpret_cast<const char*>(&len), 4);
         break;
       }
       case 3:  // random type byte
-        if (bytes.size() >= kWireHeaderBytes) {
-          bytes[4] = static_cast<char>(rng.NextBounded(256));
-        }
+        bytes[hello.size() + 4] = static_cast<char>(rng.NextBounded(256));
         break;
-      case 4: {  // garbage payload under a valid header
+      case 4: {  // garbage payload under a valid header, after HELLO
         const uint32_t len = static_cast<uint32_t>(rng.NextBounded(512));
         std::string garbage(len, '\0');
         for (char& c : garbage) c = static_cast<char>(rng.Next64());
-        bytes.clear();
+        bytes = hello;
         AppendFrame(static_cast<FrameType>(
                         1 + rng.NextBounded(15)),  // any defined type
                     garbage, &bytes);
@@ -1638,28 +1653,6 @@ TEST(NetReactorTest, SixtyFourClientsOverFourIoThreadsKeepExactCounts) {
     frames_in += row.frames_in;
   }
   EXPECT_GE(frames_in, 2u * kClients);  // every submit frame was counted
-  server.Stop();
-}
-
-TEST(NetReactorTest, PollFallbackComposesOnlyWithOneIoThread) {
-  // The legacy 2 ms ticket poll scans one thread's ticket tables; with
-  // completion wakeups off a multi-thread reactor would strand outcomes,
-  // so Start() must refuse the combination outright...
-  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-  ServerOptions options = LoopbackOptions(1);
-  options.completion_wakeups = false;
-  options.io_threads = 2;
-  {
-    MatchServer server(idx, options);
-    EXPECT_FALSE(server.Start().ok());
-  }
-  // ...while the supported single-thread shape still starts and serves.
-  options.io_threads = 1;
-  MatchServer server(idx, options);
-  ASSERT_TRUE(server.Start().ok());
-  MatchClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  ASSERT_TRUE(client.Ping().ok());
   server.Stop();
 }
 
@@ -1929,10 +1922,10 @@ TEST(AsyncClientTest, InflightWindowBlocksSubmitUntilASlotFrees) {
 // ------------------------------------------------------- catalog tests --
 
 // The serving-tier acceptance flow: a server hosting two named graphs; a
-// catalog-negotiated client lists them, loads a third from disk, routes
-// submits by graph id, unloads a graph with queries still in flight (no
-// outcome lost or wrong), and a pre-catalog client keeps working against
-// the default graph over the same server.
+// client lists them, loads a third from disk, routes submits by graph id,
+// unloads a graph with queries still in flight (no outcome lost or
+// wrong), and a second client's unrouted submissions hit the default
+// graph of the same server.
 TEST(NetCatalogTest, EndToEndMultiGraphServing) {
   std::vector<NamedGraph> graphs;
   graphs.push_back({"small", PaperDataHypergraph()});
@@ -1950,11 +1943,8 @@ TEST(NetCatalogTest, EndToEndMultiGraphServing) {
   const MatchStats want_big = MatchSequential(big_idx, query).value();
   ASSERT_NE(want_small.embeddings, want_big.embeddings);
 
-  AsyncClientOptions copts;
-  copts.request_features = kFeatureCatalog | kFeatureBatch;
-  MatchClient client(copts);
+  MatchClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  ASSERT_TRUE((client.features() & kFeatureCatalog) != 0);
 
   // LIST: both preloaded graphs, the first one default.
   Result<WireCatalogReply> list = client.ListGraphs();
@@ -2045,18 +2035,17 @@ TEST(NetCatalogTest, EndToEndMultiGraphServing) {
   EXPECT_TRUE(stats.value().graphs[0].is_default);
   EXPECT_GT(stats.value().graphs[0].index_bytes, 0u);
 
-  // A pre-catalog client (no HELLO at all) still speaks the v1 byte
-  // stream against the default graph of the very same server.
-  MatchClient legacy;
-  ASSERT_TRUE(legacy.Connect("127.0.0.1", server.port()).ok());
-  Result<uint64_t> legacy_id = legacy.Submit(query);
-  ASSERT_TRUE(legacy_id.ok());
-  EXPECT_EQ(legacy.WaitOutcome(legacy_id.value())
+  // Another client's unrouted submission hits the default graph.
+  MatchClient other;
+  ASSERT_TRUE(other.Connect("127.0.0.1", server.port()).ok());
+  Result<uint64_t> other_id = other.Submit(query);
+  ASSERT_TRUE(other_id.ok());
+  EXPECT_EQ(other.WaitOutcome(other_id.value())
                 .value().outcome.stats.embeddings,
             want_small.embeddings);
 
   client.Close();
-  legacy.Close();
+  other.Close();
   server.Stop();
 }
 
@@ -2065,9 +2054,7 @@ TEST(NetCatalogTest, UnknownGraphRejectsWithoutClosingConnection) {
   MatchServer server(idx, LoopbackOptions(2));
   ASSERT_TRUE(server.Start().ok());
 
-  AsyncClientOptions copts;
-  copts.request_features = kFeatureCatalog;
-  MatchClient client(copts);
+  MatchClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
 
   Result<uint64_t> id = client.SubmitTo("nope", PaperQueryHypergraph());
@@ -2090,9 +2077,7 @@ TEST(NetCatalogTest, RemoteLoadNeedsServerOptIn) {
   MatchServer server(idx, LoopbackOptions(2));  // allow_remote_load off
   ASSERT_TRUE(server.Start().ok());
 
-  AsyncClientOptions copts;
-  copts.request_features = kFeatureCatalog;
-  MatchClient client(copts);
+  MatchClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
 
   Result<WireCatalogReply> denied =
@@ -2105,23 +2090,6 @@ TEST(NetCatalogTest, RemoteLoadNeedsServerOptIn) {
   EXPECT_TRUE(list.value().ok);
   ASSERT_EQ(list.value().graphs.size(), 1u);
   EXPECT_EQ(list.value().graphs[0].name, "default");
-  server.Stop();
-}
-
-TEST(NetCatalogTest, GraphRoutingRequiresNegotiatedFeature) {
-  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-  MatchServer server(idx, LoopbackOptions(2));
-  ASSERT_TRUE(server.Start().ok());
-
-  MatchClient client;  // no HELLO, no features
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  EXPECT_FALSE(client.SubmitTo("any", PaperQueryHypergraph()).ok());
-  EXPECT_FALSE(client.ListGraphs().ok());
-  // The empty route is the v1 stream and keeps working.
-  Result<uint64_t> id = client.Submit(PaperQueryHypergraph());
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(client.WaitOutcome(id.value()).value().outcome.status,
-            QueryStatus::kOk);
   server.Stop();
 }
 
@@ -2165,7 +2133,7 @@ TEST(NetCatalogTest, ShardedServerKeepsExactCountsOverTheWire) {
 
 // A trace-negotiated peer gets the end-to-end timeline back on every
 // outcome — ordered stamps through delivery — while an un-negotiated
-// peer on the same server keeps span-free (byte-identical) outcomes.
+// peer on the same server gets span-free outcomes.
 TEST(NetObsTest, TraceNegotiationCarriesOrderedSpansOverTheWire) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   MatchServer server(idx, LoopbackOptions(2));
@@ -2214,7 +2182,7 @@ TEST(NetObsTest, UnknownGraphRejectKeepsTracedConnectionCoherent) {
   ASSERT_TRUE(server.Start().ok());
 
   AsyncClientOptions copts;
-  copts.request_features = kFeatureTrace | kFeatureCatalog;
+  copts.request_features = kFeatureTrace;
   MatchClient client(copts);
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
 

@@ -1,6 +1,6 @@
 // Cross-engine property sweeps: on random hypergraphs and random-walk
 // queries, every engine in the library must agree with the brute-force
-// oracle of matching semantics (see DESIGN.md §1):
+// oracle of matching semantics:
 //   * HGMatch sequential == edge-tuple brute force (count AND set),
 //   * HGMatch parallel (any thread count, stealing on/off) == sequential,
 //   * BFS executor == sequential,

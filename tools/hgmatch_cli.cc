@@ -72,9 +72,7 @@ int Usage() {
                "usage:\n"
                "  hgmatch gen <profile|random> <out[.hgb]> [scale]\n"
                "  hgmatch stats <file>\n"
-               "  hgmatch convert <in> <out> [--v1]\n"
-               "    [--v1]               write .hgb in the uncompressed v1\n"
-               "                         layout (readable by old builds)\n"
+               "  hgmatch convert <in> <out>\n"
                "  hgmatch sample <data> <num-edges> [count]\n"
                "  hgmatch match <data> <query> [threads] [limit]\n"
                "  hgmatch batch <data> <queryset> [threads] [limit]\n"
@@ -121,19 +119,16 @@ int Usage() {
                "                         off unless given)\n"
                "    [--slow-query-ms=T]  record queries slower than T ms in\n"
                "                         a ring surfaced via --stats\n"
-               "    [--poll-outcomes]    legacy 2ms outcome polling instead\n"
-               "                         of completion-driven delivery\n"
-               "                         (io-threads=1 only)\n"
                "    [--allow-remote-shutdown]  honour client SHUTDOWN\n"
                "    [--compress]         grant clients frame compression\n"
                "                         when they request it at connect\n"
                "  hgmatch query --connect=HOST:PORT [<queryset>]\n"
                "    [--limit=N]          per-query embedding limit\n"
-               "    [--batch]            negotiate BATCH_SUBMIT and send\n"
-               "                         the queryset coalesced (shared\n"
+               "    [--batch]            send the queryset coalesced into\n"
+               "                         BATCH_SUBMIT frames (shared\n"
                "                         options; per-query headers are\n"
                "                         ignored)\n"
-               "    [--compress]         negotiate frame compression\n"
+               "    [--compress]         request frame compression\n"
                "    [--stats]            print the server statistics\n"
                "                         snapshot (standalone or after\n"
                "                         the queryset)\n"
@@ -143,8 +138,7 @@ int Usage() {
                "                         print a stage timeline under each\n"
                "                         outcome\n"
                "    [--graph=NAME]       route the queryset to catalog\n"
-               "                         graph NAME (negotiates the\n"
-               "                         catalog feature)\n"
+               "                         graph NAME\n"
                "    [--list-graphs]      print the server's graph catalog\n"
                "    [--load-graph=NAME=PATH]  ask the server to load PATH\n"
                "                         (its filesystem) as NAME\n"
@@ -266,28 +260,14 @@ int CmdStats(int argc, char** argv) {
 }
 
 int CmdConvert(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  bool v1 = false;
-  for (int a = 4; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--v1") == 0) {
-      v1 = true;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", argv[a]);
-      return 2;
-    }
-  }
+  if (argc != 4) return Usage();
   Result<Hypergraph> h = LoadAny(argv[2]);
   if (!h.ok()) {
     std::fprintf(stderr, "%s\n", h.status().ToString().c_str());
     return 1;
   }
   const std::string out = argv[3];
-  // --v1 forces the uncompressed v1 binary layout (for files that must
-  // stay readable by pre-HGM2 builds); it only means something for .hgb.
-  const Status s = v1 && IsBinaryPath(out)
-                       ? SaveHypergraphBinary(h.value(), out,
-                                              /*compress=*/false)
-                       : SaveAny(h.value(), out);
+  const Status s = SaveAny(h.value(), out);
   if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
@@ -663,8 +643,6 @@ int CmdServe(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--no-plan-cache") == 0) {
       options.service.plan_cache = false;
-    } else if (std::strcmp(arg, "--poll-outcomes") == 0) {
-      options.completion_wakeups = false;
     } else if (std::strcmp(arg, "--allow-remote-shutdown") == 0) {
       options.allow_remote_shutdown = true;
     } else if (std::strcmp(arg, "--compress") == 0) {
@@ -968,17 +946,11 @@ int CmdQuery(int argc, char** argv) {
     return Usage();
   }
 
-  // --batch/--compress opt into the negotiated extensions: a kHello
-  // exchange at connect requests the feature bits, and the server's grant
-  // decides what actually goes over the wire. Graph routing and the
-  // catalog verbs ride on kFeatureCatalog.
+  // --compress/--trace are the two opt-ins the HELLO exchange at connect
+  // requests; the server's grant decides what goes over the wire.
   AsyncClientOptions copts;
-  if (use_batch) copts.request_features |= kFeatureBatch;
   if (use_compress) copts.request_features |= kFeatureCompression;
   if (use_trace) copts.request_features |= kFeatureTrace;
-  if (!graph.empty() || catalog_admin) {
-    copts.request_features |= kFeatureCatalog;
-  }
 
   if (queryset.empty()) {
     MatchClient client(copts);
@@ -1112,25 +1084,23 @@ int CmdQuery(int argc, char** argv) {
               static_cast<unsigned long long>(rejected),
               static_cast<unsigned long long>(total_embeddings),
               timer.ElapsedSeconds());
-  if (copts.request_features != 0) {
+  {
+    // Framing stats, with the opt-ins the server granted (batching and
+    // catalog routing are always on and not listed).
     const ClientTransferStats ts = client.TransferStats();
-    const double per_query =
-        ids.empty() ? 0.0
-                    : static_cast<double>(ts.bytes_sent + ts.bytes_received) /
-                          static_cast<double>(ids.size());
-    std::printf("wire: granted%s%s%s%s%s, sent %llu frames / %llu bytes, "
+    const uint32_t opt_ins =
+        client.features() & (kFeatureCompression | kFeatureTrace);
+    std::printf("wire: granted%s%s%s, sent %llu frames / %llu bytes, "
                 "received %llu frames / %llu bytes, %.1f bytes/query\n",
-                client.features() == 0 ? " none" : "",
-                (client.features() & kFeatureBatch) != 0 ? " batch" : "",
-                (client.features() & kFeatureCompression) != 0 ? " compress"
-                                                               : "",
-                (client.features() & kFeatureCatalog) != 0 ? " catalog" : "",
-                (client.features() & kFeatureTrace) != 0 ? " trace" : "",
+                opt_ins == 0 ? " none" : "",
+                (opt_ins & kFeatureCompression) != 0 ? " compress" : "",
+                (opt_ins & kFeatureTrace) != 0 ? " trace" : "",
                 static_cast<unsigned long long>(ts.frames_sent),
                 static_cast<unsigned long long>(ts.bytes_sent),
                 static_cast<unsigned long long>(ts.frames_received),
                 static_cast<unsigned long long>(ts.bytes_received),
-                per_query);
+                static_cast<double>(ts.bytes_sent + ts.bytes_received) /
+                    static_cast<double>(ids.size()));
   }
   if (!unload_name.empty()) {
     const int rc = PrintCatalogReply(client.UnloadGraph(unload_name));
