@@ -22,7 +22,8 @@ struct Fixture {
     plan = BuildQueryPlan(query, data).value();
     // A partial embedding for candidate/validation micro-runs: the first
     // valid 2-prefix found by expansion.
-    Expander expander(data, plan);
+    ExpandScratch scratch;
+    Expander expander(data, plan, &scratch);
     MatchStats stats;
     std::vector<EdgeId> level0, level1;
     expander.Expand(nullptr, 0, &level0, &stats);
@@ -77,7 +78,8 @@ void BM_GenerateCandidates(benchmark::State& state) {
     state.SkipWithError("no 2-prefix available");
     return;
   }
-  Expander expander(f.data, f.plan);
+  ExpandScratch scratch;
+  Expander expander(f.data, f.plan, &scratch);
   std::vector<EdgeId> out;
   for (auto _ : state) {
     expander.GenerateCandidates(f.prefix.data(), 2, &out);
@@ -92,7 +94,8 @@ void BM_IsValidEmbedding(benchmark::State& state) {
     state.SkipWithError("no 2-prefix available");
     return;
   }
-  Expander expander(f.data, f.plan);
+  ExpandScratch scratch;
+  Expander expander(f.data, f.plan, &scratch);
   bool count_ok;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

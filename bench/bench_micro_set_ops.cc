@@ -1,7 +1,7 @@
-// Microbenchmarks of the sorted-set kernels underpinning Algorithm 4
-// (google-benchmark). The paper credits set operations' hardware
-// friendliness for HGMatch's candidate-generation speed; these quantify the
-// kernels in isolation, including the merge-vs-gallop crossover.
+// Microbenchmarks of the sorted-set kernels of util/set_ops
+// (google-benchmark), including the merge-vs-gallop crossover. Algorithm 4
+// itself no longer runs on these (see core/candidates.h); its cost is
+// measured by bench_micro_core.
 
 #include <benchmark/benchmark.h>
 
@@ -48,24 +48,6 @@ void BM_IntersectAsymmetric(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * b.size());
 }
 BENCHMARK(BM_IntersectAsymmetric)->Range(1 << 10, 1 << 20);
-
-void BM_UnionMany(benchmark::State& state) {
-  // K posting lists, as produced per shared vertex in Algorithm 4 line 6.
-  const size_t k = state.range(0);
-  std::vector<std::vector<uint32_t>> lists;
-  std::vector<const std::vector<uint32_t>*> ptrs;
-  for (size_t i = 0; i < k; ++i) {
-    lists.push_back(MakeSorted(256, 1 << 16, i + 1));
-  }
-  for (const auto& l : lists) ptrs.push_back(&l);
-  std::vector<uint32_t> out;
-  for (auto _ : state) {
-    UnionMany(ptrs, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * k * 256);
-}
-BENCHMARK(BM_UnionMany)->RangeMultiplier(4)->Range(2, 128);
 
 void BM_Difference(benchmark::State& state) {
   const size_t n = state.range(0);

@@ -2,7 +2,6 @@
 #define HGMATCH_CORE_CANDIDATES_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/indexed_hypergraph.h"
@@ -12,16 +11,82 @@
 
 namespace hgmatch {
 
-/// Reusable per-thread expansion state: candidate generation (Algorithm 4)
-/// plus embedding validation (Algorithm 5) for one compiled query against
-/// one indexed data hypergraph. Buffers grow to the working-set size of the
-/// query and are then reused, so the steady-state hot path performs no
-/// allocation. The parallel engine creates one Expander per worker thread;
-/// an Expander itself is not thread-safe.
+/// Working memory of the expansion kernel: flat arrays indexed by data
+/// vertex id and by global data edge id, each entry tagged with a
+/// generation stamp so that "clearing" an array is one counter increment.
+/// An entry whose stamp differs from the current generation reads as
+/// empty, which is what makes one scratch safe to reuse across calls,
+/// plans and data hypergraphs: the arrays only ever grow (to the largest
+/// |V| / |E| served) and never need a reset between users.
+///
+/// One scratch serves one thread; it is not thread-safe. Engines keep one
+/// per worker thread (the scheduler) or one per call (the sequential and
+/// BFS executors).
+class ExpandScratch {
+ public:
+  ExpandScratch() = default;
+  ExpandScratch(const ExpandScratch&) = delete;
+  ExpandScratch& operator=(const ExpandScratch&) = delete;
+
+  /// Moves the vertex generation and the edge mark base forward (never
+  /// back: a lower value could revive stale entries), so tests can drive
+  /// both counters to their wrap-around without 2^32 calls.
+  void SetStampsForTesting(uint32_t vertex_generation, uint32_t edge_base);
+
+ private:
+  friend class Expander;
+
+  // d_Hm(v) and the steps j < step whose matched hyperedge contains v;
+  // valid only while stamp == vertex_generation_.
+  struct VertexState {
+    uint32_t stamp = 0;
+    uint32_t count = 0;
+    uint64_t steps_mask = 0;
+  };
+
+  // Grows the arrays to cover `num_vertices` / `num_edges` ids. New
+  // entries carry stamp/mark 0, which no live generation uses.
+  void Reserve(size_t num_vertices, size_t num_edges);
+
+  // Starts a new vertex generation (every VertexState reads as empty).
+  void NewVertexGeneration();
+
+  // Reserves `span` consecutive mark values above every mark in use and
+  // returns the first; the marks of all edges are then below it.
+  uint32_t NewEdgeMarks(uint32_t span);
+
+  std::vector<VertexState> vertices_;
+  uint32_t vertex_generation_ = 0;
+  uint32_t distinct_vertices_ = 0;  // |V(H_m)| of the current generation
+
+  // Posting marks of Algorithm 4; every mark in use is <= edge_base_.
+  std::vector<uint32_t> edge_marks_;
+  uint32_t edge_base_ = 0;
+
+  std::vector<EdgeId> candidates_;               // Expand() candidates
+  std::vector<PlanStep::Profile> data_profiles_;  // Algorithm 5 side
+};
+
+/// The expansion kernel for one compiled query against one indexed data
+/// hypergraph: candidate generation (Algorithm 4) plus embedding
+/// validation (Algorithm 5). An Expander is a cheap view of (data, plan,
+/// scratch) — three pointers — meant to be built per call; all state
+/// lives in the ExpandScratch, whose buffers grow to the working-set size
+/// and are then reused, so the steady-state hot path performs no
+/// allocation. Thread-safety is the scratch's: one thread at a time.
+///
+/// Algorithm 4 runs as one pass of posting marks: for the k-th shared
+/// query vertex (of K), every posting of every admissible data vertex
+/// whose mark is base+k moves to base+k+1 (k = 0 starts from any stale
+/// mark), so a posting appearing under several admissible vertices of one
+/// u advances once (the union) and only edges present for every u reach
+/// base+K (the intersection). Vertex multiplicities and Theorem V.2's step
+/// masks are O(1) lookups into the stamped vertex array.
 class Expander {
  public:
-  /// `data` and `plan` must outlive the Expander.
-  Expander(const IndexedHypergraph& data, const QueryPlan& plan);
+  /// `data`, `plan` and `scratch` must outlive the Expander.
+  Expander(const IndexedHypergraph& data, const QueryPlan& plan,
+           ExpandScratch* scratch);
 
   /// The EXPAND operator body: given the partial embedding
   /// m = embedding[0..step-1], appends to *out_valid every data hyperedge c
@@ -52,31 +117,19 @@ class Expander {
   const IndexedHypergraph& data() const { return *data_; }
 
  private:
-  // Rebuilds vertex -> multiplicity for embedding[0..step-1] into counts_
-  // (sorted by vertex id). Must be called before the *Impl helpers.
+  // Records, for every vertex of embedding[0..step-1], its multiplicity
+  // and step mask in a fresh vertex generation. Must be called before the
+  // *Impl helpers.
   void BuildVertexCounts(const EdgeId* embedding, uint32_t step);
 
-  // Binary search in counts_; zero when absent.
-  uint32_t CountOf(VertexId v) const;
-
-  // Algorithm 4 / Algorithm 5 bodies; require counts_ to be current.
+  // Algorithm 4 / Algorithm 5 bodies; require BuildVertexCounts first.
   void GenerateCandidatesImpl(const EdgeId* embedding, uint32_t step,
                               std::vector<EdgeId>* out);
-  bool IsValidImpl(const EdgeId* embedding, uint32_t step, EdgeId c,
-                   bool* vertex_count_ok);
+  bool IsValidImpl(uint32_t step, EdgeId c, bool* vertex_count_ok);
 
   const IndexedHypergraph* data_;
   const QueryPlan* plan_;
-
-  // Scratch, reused across calls.
-  std::vector<std::pair<VertexId, uint32_t>> counts_;   // d_Hm(v)
-  std::vector<VertexId> non_incident_;                  // V_nonincdt, sorted
-  std::vector<VertexId> incident_scratch_;              // V_incdt per u
-  std::vector<EdgeId> union_scratch_;                   // per-u posting union
-  std::vector<EdgeId> intersect_scratch_;
-  std::vector<EdgeId> candidate_scratch_;               // Expand() candidates
-  std::vector<const std::vector<EdgeId>*> list_ptrs_;   // UnionMany inputs
-  std::vector<PlanStep::Profile> data_profiles_;        // Algorithm 5 side
+  ExpandScratch* s_;
 };
 
 }  // namespace hgmatch

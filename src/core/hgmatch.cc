@@ -15,7 +15,8 @@ MatchStats ExecutePlanSequential(const IndexedHypergraph& data,
   const Deadline deadline = Deadline::After(options.timeout_seconds);
   const uint32_t n = plan.NumSteps();
 
-  Expander expander(data, plan);
+  ExpandScratch scratch;
+  Expander expander(data, plan, &scratch);
   std::vector<std::vector<EdgeId>> level_valid(n);
   std::vector<size_t> cursor(n, 0);
   std::vector<EdgeId> embedding(n, kInvalidEdge);

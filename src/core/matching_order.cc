@@ -1,7 +1,6 @@
 #include "core/matching_order.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
 #include "util/set_ops.h"
@@ -217,10 +216,8 @@ Result<QueryPlan> Compile(const Hypergraph& query, std::vector<EdgeId> order) {
     }
     seen[e] = 1;
   }
-  static std::atomic<uint64_t> next_uid{1};
   QueryPlan plan;
   plan.query = &query;
-  plan.uid = next_uid.fetch_add(1, std::memory_order_relaxed);
   plan.steps.resize(order.size());
   for (uint32_t i = 0; i < order.size(); ++i) {
     CompileStep(query, order, i, &plan.steps[i]);

@@ -74,13 +74,6 @@ struct PlanStep {
 struct QueryPlan {
   const Hypergraph* query = nullptr;  // not owned
 
-  /// Process-unique plan identity (1-based; 0 = unassigned), stamped at
-  /// compilation. Engines key cached per-plan state (e.g. the scheduler's
-  /// per-worker expanders) by uid rather than by plan address, so a freed
-  /// plan whose heap address gets reused can never alias another plan's
-  /// cached state.
-  uint64_t uid = 0;
-
   std::vector<PlanStep> steps;
 
   uint32_t NumSteps() const { return static_cast<uint32_t>(steps.size()); }

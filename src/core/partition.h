@@ -15,10 +15,11 @@ namespace hgmatch {
 /// (Section IV.C) mapping each vertex that occurs in the table to the sorted
 /// posting list of its incident hyperedges *within this table*.
 ///
-/// Posting lists store global edge ids in ascending order, so candidate
-/// generation (Algorithm 4) is plain sorted-set algebra over posting lists:
-/// he(v, S(e_q)) is a single hash lookup followed by set unions and
-/// intersections.
+/// Posting lists store global edge ids in ascending order. Candidate
+/// generation (Algorithm 4) fetches he(v, S(e_q)) with a single hash lookup
+/// and computes the unions and intersections over these lists in one pass
+/// of per-edge marks indexed by global edge id (see core/candidates.h), so
+/// the table needs no further per-query structure.
 class Partition {
  public:
   Partition(PartitionId id, Signature signature)

@@ -43,7 +43,8 @@ BfsResult ExecutePlanBfs(const IndexedHypergraph& data, const QueryPlan& plan,
     std::vector<MatchStats> worker_stats(threads);
 
     auto body = [&](uint32_t worker_id) {
-      Expander expander(data, plan);
+      ExpandScratch scratch;
+      Expander expander(data, plan, &scratch);
       std::vector<EdgeId> valid;
       std::vector<EdgeId> local_out;
       MatchStats& stats = worker_stats[worker_id];

@@ -156,8 +156,9 @@ struct QuerySlot {
 }  // namespace
 
 // One pool thread plus the streaming admission machinery. Worker state
-// (expanders, depth buffers) is sparse per plan: a worker that never
-// executes a task of plan p spends nothing on p.
+// (one expansion scratch, depth buffers) is shared by every plan: a
+// worker's memory follows the largest graph and deepest plan it served,
+// not the number of plans.
 class Scheduler::Impl {
  public:
   Impl(const IndexedHypergraph* data, const SchedulerOptions& options)
@@ -208,10 +209,6 @@ class Scheduler::Impl {
 
   uint32_t Submit(const QueryPlan* plan, const IndexedHypergraph* data,
                   const SubmitOptions& so) {
-    // Compiler-stamped plans only: uid 0 would collide with the workers'
-    // empty-expander-cache sentinel and alias distinct plans in the
-    // uid-keyed expander maps.
-    assert(plan->uid != 0 && "submit plans built by BuildQueryPlan");
     assert(data != nullptr && "a data-less pool needs per-submit data");
     uint32_t index;
     bool notify = false;
@@ -470,20 +467,6 @@ class Scheduler::Impl {
     return true;
   }
 
-  void RetirePlan(uint64_t plan_uid) {
-    std::lock_guard<std::mutex> lock(admit_mutex_);
-    retired_plans_.push_back(plan_uid);
-    // Trim the retire log to what the slowest worker has not consumed yet,
-    // so it does not grow with ever-retired plans.
-    uint64_t min_seen = retired_base_ + retired_plans_.size();
-    for (auto& w : workers_) min_seen = std::min(min_seen, w->retire_seen);
-    while (retired_base_ < min_seen && !retired_plans_.empty()) {
-      retired_plans_.pop_front();
-      ++retired_base_;
-    }
-    retired_version_.fetch_add(1, std::memory_order_release);
-  }
-
   size_t LiveContexts() {
     std::lock_guard<std::mutex> lock(admit_mutex_);
     size_t live = 0;
@@ -530,19 +513,10 @@ class Scheduler::Impl {
     // query's atomic sums when the task retires (so the per-candidate hot
     // path stays free of atomics).
     MatchStats task_stats;
-    // Sparse per-plan expanders with a one-entry cache that skips the hash
-    // lookup on the common task runs of one plan (LIFO scheduling keeps
-    // runs long). Keyed by QueryPlan::uid, never by address: a retired
-    // plan's freed memory being reused for a new plan must not alias its
-    // cached state.
-    std::unordered_map<uint64_t, std::unique_ptr<Expander>> expanders;
-    uint64_t expander_key = 0;  // uids are 1-based; 0 never matches
-    Expander* expander_cache = nullptr;
-    // Count of RetirePlan() entries this worker has consumed (absolute
-    // position in the retire log; guarded by admit_mutex_) and the last
-    // retire-log version observed (worker-local fast-path check).
-    uint64_t retire_seen = 0;
-    uint64_t retire_seen_version = 0;
+    // Expansion kernel memory, shared by every plan and data graph this
+    // worker serves (generation stamps make reuse safe); grows to the
+    // largest |V| / |E| seen.
+    ExpandScratch scratch;
     WorkerReport report;
     uint64_t poll_counter = 0;
   };
@@ -556,36 +530,6 @@ class Scheduler::Impl {
     std::lock_guard<std::mutex> lock(admit_mutex_);
     auto it = queries_.find(query);
     return it == queries_.end() ? nullptr : &it->second;
-  }
-
-  Expander* ExpanderFor(Worker* w, QueryContext* ctx) {
-    const uint64_t uid = ctx->plan->uid;
-    if (w->expander_key != uid) {
-      auto& slot = w->expanders[uid];
-      if (slot == nullptr) {
-        slot = std::make_unique<Expander>(*ctx->data, *ctx->plan);
-      }
-      w->expander_key = uid;
-      w->expander_cache = slot.get();
-    }
-    return w->expander_cache;
-  }
-
-  // Drops this worker's cached expanders for every plan retired since the
-  // worker last looked. Runs on the worker's own state, so the map mutation
-  // is single-threaded; the retire log itself is read under admit_mutex_.
-  void ReapRetiredPlans(Worker* w) {
-    std::lock_guard<std::mutex> lock(admit_mutex_);
-    const uint64_t end = retired_base_ + retired_plans_.size();
-    for (uint64_t i = std::max(w->retire_seen, retired_base_); i < end; ++i) {
-      const uint64_t uid = retired_plans_[i - retired_base_];
-      w->expanders.erase(uid);
-      if (w->expander_key == uid) {
-        w->expander_key = 0;
-        w->expander_cache = nullptr;
-      }
-    }
-    w->retire_seen = end;
   }
 
   // Grows the per-depth buffers up front so no reference into valid_at is
@@ -995,8 +939,8 @@ class Scheduler::Impl {
   // its valid buffer (EnsureDepthBuffers ran before any reference is held).
   void ExpandInline(Worker* w, QueryContext* ctx, uint32_t len) {
     std::vector<EdgeId>& valid = w->valid_at[len];
-    ExpanderFor(w, ctx)->Expand(w->inline_prefix.data(), len, &valid,
-                                &w->task_stats);
+    Expander(*ctx->data, *ctx->plan, &w->scratch)
+        .Expand(w->inline_prefix.data(), len, &valid, &w->task_stats);
     const uint32_t steps = ctx->plan->NumSteps();
     size_t i = 0;
     for (; i < valid.size(); ++i) {
@@ -1044,7 +988,8 @@ class Scheduler::Impl {
     QueryContext* ctx = Ctx(t);
     EnsureDepthBuffers(w, ctx->plan->NumSteps());
     std::vector<EdgeId>& valid = w->valid_at[t->depth];
-    ExpanderFor(w, ctx)->Expand(t->edges, t->depth, &valid, &w->task_stats);
+    Expander(*ctx->data, *ctx->plan, &w->scratch)
+        .Expand(t->edges, t->depth, &valid, &w->task_stats);
     size_t i = 0;
     for (; i < valid.size(); ++i) {
       if (ctx->stop.load(std::memory_order_relaxed)) break;
@@ -1139,12 +1084,6 @@ class Scheduler::Impl {
           all_admitted_.load(std::memory_order_acquire)) {
         break;
       }
-      if (retired_version_.load(std::memory_order_acquire) !=
-          w->retire_seen_version) {
-        w->retire_seen_version =
-            retired_version_.load(std::memory_order_acquire);
-        ReapRetiredPlans(w);
-      }
       Task* t = nullptr;
       if (!w->deque.Pop(&t)) {
         // Freshly injected seed ranges first (they spread a newly admitted
@@ -1214,12 +1153,6 @@ class Scheduler::Impl {
   // releasing the lock and fires it after, so entries never outlive the
   // critical section that produced them. Guarded by admit_mutex_.
   std::vector<PendingCompletion> deferred_completions_;
-  // Retire log of plan uids whose cached per-worker state is obsolete;
-  // workers consume it lazily (ReapRetiredPlans). Trimmed to the slowest
-  // worker. Guarded by admit_mutex_; the version is the lock-free signal.
-  std::deque<uint64_t> retired_plans_;
-  uint64_t retired_base_ = 0;
-  std::atomic<uint64_t> retired_version_{0};
   std::atomic<uint64_t> rejected_count_{0};
   std::atomic<bool> all_admitted_{false};
   std::atomic<int64_t> pending_{0};
@@ -1293,8 +1226,6 @@ const QueryOutcome* Scheduler::TryGetQuery(uint32_t query) {
 }
 
 bool Scheduler::Release(uint32_t query) { return impl_->Release(query); }
-
-void Scheduler::RetirePlan(uint64_t plan_uid) { impl_->RetirePlan(plan_uid); }
 
 size_t Scheduler::LiveContexts() { return impl_->LiveContexts(); }
 

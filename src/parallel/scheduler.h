@@ -129,7 +129,8 @@ struct SchedulerReport {
 ///
 /// Plans must stay alive until the owning query finishes; submitting the
 /// same plan pointer for several queries is allowed (the plan caches do
-/// this) and shares per-worker expanders between them.
+/// this). Workers keep no per-plan state: each owns one ExpandScratch
+/// that serves every plan and data graph it executes.
 class Scheduler {
  public:
   Scheduler(const IndexedHypergraph& data, const SchedulerOptions& options);
@@ -145,12 +146,11 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Registers one query. `plan` must outlive the query and must come from
-  /// BuildQueryPlan/BuildQueryPlanWithOrder (its uid stamps the per-worker
-  /// expander cache; a hand-assembled plan with uid 0 is rejected by
-  /// assertion). `options.sink` may be null (count only). Thread-safe
-  /// after Start(); must not be called after Seal(). Returns the query's
-  /// index (also its index into SchedulerReport::queries).
+  /// Registers one query. `plan` must outlive the query; once the query
+  /// finished the pool holds no state derived from it, so the caller may
+  /// free it. `options.sink` may be null (count only). Thread-safe after
+  /// Start(); must not be called after Seal(). Returns the query's index
+  /// (also its index into SchedulerReport::queries).
   ///
   /// `options.completion`, when set, is invoked exactly once at the moment
   /// the query's outcome finalises — whatever the terminal status,
@@ -225,12 +225,6 @@ class Scheduler {
   /// Release; Release additionally drops the slim outcome record, keeping a
   /// long-lived streaming scheduler O(in-flight), not O(ever-submitted).
   bool Release(uint32_t query);
-
-  /// Declares that no further queries will ever be submitted for the plan
-  /// with this uid (QueryPlan::uid): workers lazily drop their cached
-  /// per-plan expansion state. Call before freeing a plan whose queries all
-  /// finished; without it, per-worker state grows with distinct plans.
-  void RetirePlan(uint64_t plan_uid);
 
   /// Diagnostics: number of heavy per-query contexts currently allocated
   /// (in-flight + waiting queries). Bounded by the admission window plus

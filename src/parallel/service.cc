@@ -166,7 +166,7 @@ struct ResolveGate {
 // finalises (mirrors resolve in the same step as their canonical), after
 // which the record is the slim, self-contained outcome store — the
 // scheduler slot behind it is released (and, for plan-cache-off
-// submissions, the compiled plan retired and freed), so a record costs the
+// submissions, the compiled plan freed), so a record costs the
 // scheduler nothing once its query finished, whether or not anyone ever
 // retrieves the outcome.
 struct QueryRecord {
@@ -179,7 +179,7 @@ struct QueryRecord {
   uint32_t sched_index = kNotScheduled;
   std::shared_ptr<QueryRecord> canonical;
   Hypergraph owned_query;  // keeps the plan's query alive for owning submits
-  // Plan-cache-off submissions own their plan; retired + freed at
+  // Plan-cache-off submissions own their plan; freed at
   // resolution (cached plans instead live in ServiceImpl::plans_ for the
   // service lifetime, bounded by distinct query structures).
   std::unique_ptr<QueryPlan> owned_plan;
@@ -370,10 +370,6 @@ class ServiceImpl {
         resolve_cv_.wait(lock, [this] { return hook_busy_ == 0; });
       }
       std::lock_guard<std::mutex> lock(mutex_);
-      // Cached plans die with this service while the pool's workers live
-      // on; retire them so the per-worker expander state keyed by their
-      // uids is dropped instead of accreting across service lifetimes.
-      for (auto& [key, entry] : cache_) sched_->RetirePlan(entry.plan->uid);
       report_.seconds = wall_.ElapsedSeconds();
       FillReportCountersLocked();
       shut_down_.store(true, std::memory_order_release);
@@ -628,7 +624,7 @@ class ServiceImpl {
   }
 
   // Releases the resolved record's scheduler slot(s) and, for
-  // plan-cache-off submissions, retires + frees the plan that served
+  // plan-cache-off submissions, frees the plan that served
   // exactly this query. Callers hold resolve_mutex_.
   void ReleaseSlotLocked(QueryRecord* rec) {
     if (rec->fan != nullptr) {
@@ -646,7 +642,6 @@ class ServiceImpl {
       sched_->Release(rec->sched_index);
     }
     if (rec->owned_plan != nullptr) {
-      sched_->RetirePlan(rec->owned_plan->uid);
       rec->owned_plan.reset();
       rec->owned_query = Hypergraph();
     }
@@ -1029,17 +1024,22 @@ class ServiceImpl {
     // insert it, the key is already taken.
     bool uncacheable_hit = false;
     if (options_.plan_cache) {
-      if (options_.plan_cache_isomorphism) {
-        CanonicalKey ck = CanonicalQueryKey(query);
-        key = std::move(ck.key);
-        exact_key = std::move(ck.exact);
+      // An exact repeat of a cached structure finds its entry through the
+      // exact-key index and skips the canonical labeller; everything else
+      // pays for the labeller (when enabled) to find isomorphic hits.
+      exact_key = ExactQueryKey(query);
+      CacheSlot* hit = nullptr;
+      if (auto xit = exact_index_.find(exact_key); xit != exact_index_.end()) {
+        hit = xit->second;
+        key = hit->first;
       } else {
-        exact_key = ExactQueryKey(query);
-        key = 'X' + exact_key;
+        key = options_.plan_cache_isomorphism ? CanonicalQueryKey(query).key
+                                              : 'X' + exact_key;
+        auto it = cache_.find(key);
+        if (it != cache_.end()) hit = &*it;
       }
-      auto it = cache_.find(key);
-      if (it != cache_.end()) {
-        CacheEntry& entry = it->second;
+      if (hit != nullptr) {
+        CacheEntry& entry = hit->second;
         const bool exact_hit = entry.exact_key == exact_key;
         if (so.sink != nullptr && !exact_hit) {
           uncacheable_hit = true;
@@ -1170,13 +1170,14 @@ class ServiceImpl {
         lru_.push_front(key);
         e.lru_it = lru_.begin();
       }
-      cache_.emplace(std::move(key), std::move(e));
+      CacheSlot& slot = *cache_.emplace(std::move(key), std::move(e)).first;
+      exact_index_.emplace(slot.second.exact_key, &slot);
       EvictIdlePlansLocked();
     } else {
       // Without the cache — or when this submission was shed by the queue
       // bound (a rejected canonical would poison the structure's cache
       // entry: repeats could never mirror again) — the plan serves exactly
-      // this record; it is retired + freed at resolution (bounded
+      // this record; it is freed at resolution (bounded
       // retention for cache-off services).
       {
         std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
@@ -1184,9 +1185,8 @@ class ServiceImpl {
           rec->owned_plan = std::move(compiled_owner);
         } else {
           // Resolved synchronously inside Submit (shed by the queue
-          // bound): the slot was already released, so retire the plan
+          // bound): the slot was already released, so free the plan
           // right here instead of parking it on the record.
-          sched_->RetirePlan(compiled_owner->uid);
           compiled_owner.reset();
         }
       }
@@ -1198,9 +1198,7 @@ class ServiceImpl {
   // submission) entries until the cache is back under
   // plan_cache_capacity; entries pinned by a live submission are skipped,
   // so the cache transiently overshoots rather than evict a plan the pool
-  // is executing. Callers hold mutex_. (Taking the scheduler's internal
-  // lock via RetirePlan under mutex_ alone is safe: the scheduler never
-  // calls into the service while holding its own lock.)
+  // is executing. Callers hold mutex_.
   void EvictIdlePlansLocked() {
     const size_t cap = options_.plan_cache_capacity;
     if (cap == 0) return;
@@ -1209,12 +1207,12 @@ class ServiceImpl {
       --it;
       auto cit = cache_.find(*it);
       if (cit->second.live->load(std::memory_order_acquire) != 0) continue;
-      sched_->RetirePlan(cit->second.plan->uid);
       Metrics().plan_cache_evictions->Add();
       // erase returns the position after the erased element; the next
       // pass's --it lands on the element before it, so the walk keeps
       // moving frontward without revisiting anything.
       it = lru_.erase(it);
+      exact_index_.erase(cit->second.exact_key);
       cache_.erase(cit);
     }
   }
@@ -1259,7 +1257,12 @@ class ServiceImpl {
   Timer wall_;  // service wall clock (shared-mode report seconds)
 
   std::mutex mutex_;  // cache, records, counters
+  using CacheSlot = std::pair<const std::string, CacheEntry>;
   std::unordered_map<std::string, CacheEntry> cache_;
+  // CacheEntry::exact_key -> its element of cache_ (element pointers
+  // survive rehashing); one index entry per cache entry, removed with it.
+  // Guarded by mutex_.
+  std::unordered_map<std::string, CacheSlot*> exact_index_;
   // Cache keys, most-recently-used first; maintained (and non-empty) only
   // when plan_cache_capacity > 0. Guarded by mutex_.
   std::list<std::string> lru_;
@@ -1278,7 +1281,7 @@ class ServiceImpl {
   bool started_ = false;  // guarded by mutex_ after construction
 
   // Lock order: mutex_ before resolve_mutex_; scheduler-internal locks are
-  // only ever taken *under* resolve_mutex_ (Release/RetirePlan/TryGet),
+  // only ever taken *under* resolve_mutex_ (Release/TryGet),
   // never the other way around — the scheduler fires completion hooks with
   // no lock held.
   // Record resolution + mirror lists park on the shared gate (see

@@ -1,7 +1,6 @@
 #include "util/set_ops.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace hgmatch {
 namespace {
@@ -107,41 +106,6 @@ void UnionInPlace(std::vector<uint32_t>* a, const std::vector<uint32_t>& b) {
   std::vector<uint32_t> tmp;
   Union(*a, b, &tmp);
   a->swap(tmp);
-}
-
-void UnionMany(const std::vector<const std::vector<uint32_t>*>& inputs,
-               std::vector<uint32_t>* out) {
-  out->clear();
-  if (inputs.empty()) return;
-  if (inputs.size() == 1) {
-    *out = *inputs[0];
-    return;
-  }
-  if (inputs.size() == 2) {
-    Union(*inputs[0], *inputs[1], out);
-    return;
-  }
-  // K-way merge with a min-heap over (value, input index, position).
-  struct Cursor {
-    uint32_t value;
-    uint32_t input;
-    uint32_t pos;
-    bool operator>(const Cursor& other) const { return value > other.value; }
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, std::greater<Cursor>> heap;
-  size_t total = 0;
-  for (uint32_t k = 0; k < inputs.size(); ++k) {
-    total += inputs[k]->size();
-    if (!inputs[k]->empty()) heap.push({(*inputs[k])[0], k, 0});
-  }
-  out->reserve(total);
-  while (!heap.empty()) {
-    Cursor c = heap.top();
-    heap.pop();
-    if (out->empty() || out->back() != c.value) out->push_back(c.value);
-    const auto& in = *inputs[c.input];
-    if (c.pos + 1 < in.size()) heap.push({in[c.pos + 1], c.input, c.pos + 1});
-  }
 }
 
 void Difference(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,

@@ -9,13 +9,11 @@
 
 namespace hgmatch {
 
-/// Sorted-set algebra on duplicate-free ascending uint32 vectors.
-///
-/// These kernels are the workhorse of HGMatch's candidate generation
-/// (Algorithm 4): posting lists of the inverted hyperedge index are unioned
-/// per incident vertex and the per-vertex unions are intersected. The paper
-/// notes these operations "can be implemented very efficiently on modern
-/// hardware"; we provide a scalar merge path plus a galloping path that is
+/// Sorted-set algebra on duplicate-free ascending uint32 vectors, used by
+/// the baselines, the generators, the matching order and the reference
+/// oracle. (HGMatch's own candidate generation, Algorithm 4, computes its
+/// unions and intersections with posting marks; see core/candidates.h.)
+/// Intersection has a scalar merge path plus a galloping path that is
 /// automatically selected when the input sizes are very asymmetric.
 
 /// out = a ∩ b. `out` is cleared first. Aliasing with inputs is not allowed.
@@ -35,11 +33,6 @@ void Union(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
 
 /// In-place: a = a ∪ b (uses a scratch buffer internally).
 void UnionInPlace(std::vector<uint32_t>* a, const std::vector<uint32_t>& b);
-
-/// out = union of all input lists (k-way merge). `inputs` may be empty, in
-/// which case `out` is cleared. Pointers must be non-null.
-void UnionMany(const std::vector<const std::vector<uint32_t>*>& inputs,
-               std::vector<uint32_t>* out);
 
 /// out = a \ b. `out` is cleared first.
 void Difference(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,

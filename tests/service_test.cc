@@ -771,6 +771,47 @@ TEST(ServiceTest, IsomorphismDisabledFallsBackToExactMatching) {
   EXPECT_EQ(report.unique_plans, 2u);
 }
 
+TEST(ServiceTest, ExactRepeatHitsExactlyAndEvictionDropsItsIndexEntry) {
+  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
+  ServiceOptions options = BaseOptions(2);
+  options.plan_cache_capacity = 1;
+  MatchService service(idx, options);
+
+  Ticket first = service.Submit(PaperQueryHypergraph());
+  EXPECT_EQ(first.Wait().stats.embeddings, 2u);
+  // An exact repeat is found by its exact key and counts as an exact hit.
+  Ticket repeat = service.Submit(PaperQueryHypergraph());
+  EXPECT_TRUE(repeat.Wait().mirrored);
+  EXPECT_EQ(repeat.Wait().stats.embeddings, 2u);
+
+  // Another structure takes the single cache slot, evicting the idle
+  // paper entry.
+  Hypergraph other;
+  const Label A = 0, C = 2;
+  for (Label l : {A, C, A, A, C}) other.AddVertex(l);
+  (void)other.AddEdge({2, 4});
+  (void)other.AddEdge({0, 1, 2});
+  (void)other.AddEdge({0, 1, 3, 4});
+  Ticket second = service.Submit(std::move(other));
+  EXPECT_EQ(second.Wait().status, QueryStatus::kOk);
+  EXPECT_FALSE(second.Wait().mirrored);
+
+  // The evicted entry's exact key went with it: the next exact repeat is
+  // a miss that compiles afresh (not a hit on the freed entry).
+  Ticket again = service.Submit(PaperQueryHypergraph());
+  EXPECT_EQ(again.Wait().status, QueryStatus::kOk);
+  EXPECT_FALSE(again.Wait().mirrored);
+  EXPECT_EQ(again.Wait().stats.embeddings, 2u);
+  // And it is cached again under both keys.
+  Ticket last = service.Submit(PaperQueryHypergraph());
+  EXPECT_TRUE(last.Wait().mirrored);
+
+  const ServiceReport report = service.Shutdown();
+  EXPECT_EQ(report.plan_cache_hits, 2u);
+  EXPECT_EQ(report.plan_cache_isomorphic_hits, 0u);
+  EXPECT_EQ(report.unique_plans, 3u);
+}
+
 TEST(ServiceTest, CostAwareWfqHoldsSharesUnderHeterogeneousQuerySizes) {
   // The 3:1 guarantee, in *work* units: tenant A (weight 3) floods heavy
   // queries while tenant B (weight 1) floods cheap ones. With cost-aware

@@ -57,19 +57,6 @@ TEST(SetOpsTest, UnionBasics) {
   EXPECT_EQ(out.size(), 6u);
 }
 
-TEST(SetOpsTest, UnionMany) {
-  V a = {1, 4}, b = {2, 4, 8}, c = {0, 8};
-  V out;
-  UnionMany({&a, &b, &c}, &out);
-  EXPECT_EQ(out, (V{0, 1, 2, 4, 8}));
-  UnionMany({}, &out);
-  EXPECT_TRUE(out.empty());
-  UnionMany({&a}, &out);
-  EXPECT_EQ(out, a);
-  UnionMany({&a, &b}, &out);
-  EXPECT_EQ(out, (V{1, 2, 4, 8}));
-}
-
 TEST(SetOpsTest, DifferenceAndPredicates) {
   V out;
   Difference({1, 2, 3, 4}, {2, 4, 5}, &out);
