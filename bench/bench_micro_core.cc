@@ -1,13 +1,16 @@
 // Microbenchmarks of HGMatch's core per-embedding operations: index build,
 // plan compilation, candidate generation (Algorithm 4), validation
-// (Algorithm 5) and one full expansion, on a mid-size profile dataset.
+// (Algorithm 5) and one full expansion, on a mid-size profile dataset; and
+// the per-query canonical labelling that keys the service's plan cache.
 
 #include <benchmark/benchmark.h>
 
 #include "core/candidates.h"
+#include "core/canonical.h"
 #include "core/hgmatch.h"
 #include "gen/dataset_profiles.h"
 #include "gen/query_gen.h"
+#include "tests/test_fixtures.h"
 
 namespace hgmatch {
 namespace {
@@ -114,6 +117,21 @@ void BM_FullQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullQuery);
+
+// Arg 0: the paper's 5-vertex query (Fig 1a). Arg 1: a 30-vertex
+// twin-heavy query shaped like the sampled AR/SB q3 queries, the common
+// case on the service's submit path.
+void BM_CanonicalQueryKey(benchmark::State& state) {
+  const bool twin_heavy = state.range(0) == 1;
+  const Hypergraph q =
+      twin_heavy ? TwinHeavyQueryHypergraph() : PaperQueryHypergraph();
+  state.SetLabel(twin_heavy ? "twin-heavy" : "paper");
+  for (auto _ : state) {
+    CanonicalKey key = CanonicalQueryKey(q);
+    benchmark::DoNotOptimize(key.key.data());
+  }
+}
+BENCHMARK(BM_CanonicalQueryKey)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace hgmatch

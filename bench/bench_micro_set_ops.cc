@@ -49,18 +49,6 @@ void BM_IntersectAsymmetric(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectAsymmetric)->Range(1 << 10, 1 << 20);
 
-void BM_Difference(benchmark::State& state) {
-  const size_t n = state.range(0);
-  const auto a = MakeSorted(n, 4 * n, 3);
-  const auto b = MakeSorted(n / 2, 4 * n, 4);
-  std::vector<uint32_t> out;
-  for (auto _ : state) {
-    Difference(a, b, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_Difference)->Range(64, 1 << 16);
-
 void BM_IntersectsEarlyExit(benchmark::State& state) {
   const size_t n = state.range(0);
   const auto a = MakeSorted(n, 4 * n, 5);

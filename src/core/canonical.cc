@@ -42,17 +42,18 @@ uint32_t CompressColours(const std::vector<Sig>& sigs,
 // Individualisation-refinement canonizer over one (tiny) query hypergraph.
 // The refined colour partition is invariant under isomorphism, the target
 // cell and the set of individualisation choices depend only on that
-// partition, and every choice is explored — so the lexicographically
-// smallest leaf certificate is a canonical form. The node budget turns
-// pathological symmetric instances into a clean abort (exact-key fallback)
-// instead of a factorial search.
+// partition, and every choice is explored up to twin swaps (see Search) —
+// so the lexicographically smallest leaf certificate is a canonical form.
+// The node budget turns pathological symmetric instances into a clean
+// abort (exact-key fallback) instead of a factorial search.
 class Canonizer {
  public:
   Canonizer(const Hypergraph& q, const CanonicalOptions& options)
       : q_(q),
         options_(options),
         n_(static_cast<uint32_t>(q.NumVertices())),
-        m_(static_cast<uint32_t>(q.NumEdges())) {}
+        m_(static_cast<uint32_t>(q.NumEdges())),
+        twin_(TwinClasses(q)) {}
 
   // Runs the search from the label-induced initial colouring. Returns
   // false when the node budget ran out.
@@ -68,6 +69,27 @@ class Canonizer {
   }
 
  private:
+  // Twin class of every vertex: twins have equal labels and equal
+  // incident-hyperedge sets, so swapping two of them is an automorphism.
+  // Classes are numbered densely in (label, incident list) order.
+  static std::vector<uint32_t> TwinClasses(const Hypergraph& q) {
+    const uint32_t n = static_cast<uint32_t>(q.NumVertices());
+    std::vector<VertexId> order(n);
+    for (VertexId v = 0; v < n; ++v) order[v] = v;
+    auto less = [&q](VertexId a, VertexId b) {
+      if (q.label(a) != q.label(b)) return q.label(a) < q.label(b);
+      return q.incident(a) < q.incident(b);
+    };
+    std::sort(order.begin(), order.end(), less);
+    std::vector<uint32_t> twin(n, 0);
+    uint32_t cls = 0;
+    for (uint32_t i = 1; i < n; ++i) {
+      if (less(order[i - 1], order[i])) ++cls;
+      twin[order[i]] = cls;
+    }
+    return twin;
+  }
+
   // One round of alternating hyperedge/vertex colour refinement to a fixed
   // point. A hyperedge's signature is (its previous colour, its label, the
   // sorted multiset of member colours) — the colour-refined generalisation
@@ -163,11 +185,16 @@ class Canonizer {
       }
       return;
     }
-    // Individualise each vertex of the target cell in turn: it keeps the
-    // cell's colour alone, its classmates (and every later colour) shift
-    // up one, and refinement propagates the split.
+    // Individualise one vertex per twin class of the target cell in turn:
+    // it keeps the cell's colour alone, its classmates (and every later
+    // colour) shift up one, and refinement propagates the split. A twin of
+    // an already individualised vertex is skipped: the swap of the two is
+    // an automorphism fixing this colouring, and Refine and Certificate
+    // are equivariant, so its subtree holds the same leaf certificates.
+    std::vector<char> tried(n_, 0);
     for (VertexId v = 0; v < n_; ++v) {
-      if (vcol[v] != target) continue;
+      if (vcol[v] != target || tried[twin_[v]]) continue;
+      tried[twin_[v]] = 1;
       std::vector<uint32_t> child(vcol);
       for (VertexId u = 0; u < n_; ++u) {
         if (child[u] > target || (child[u] == target && u != v)) ++child[u];
@@ -181,6 +208,7 @@ class Canonizer {
   const CanonicalOptions& options_;
   const uint32_t n_;
   const uint32_t m_;
+  const std::vector<uint32_t> twin_;
   uint32_t nodes_ = 0;
   bool aborted_ = false;
   bool have_best_ = false;

@@ -20,10 +20,11 @@ struct CanonicalOptions {
   uint32_t max_vertices = 32;
   uint32_t max_edges = 64;
 
-  /// Budget on individualisation-refinement search nodes. Label-free
-  /// highly symmetric queries are the only instances that branch much;
-  /// when the budget runs out the search aborts to the exact key rather
-  /// than burn unbounded CPU on a cache key.
+  /// Budget on individualisation-refinement search nodes. Twin pruning
+  /// keeps twin-heavy queries (the common case) to about |V| nodes, so
+  /// only label-free queries with non-twin symmetry (cliques, cycles)
+  /// branch much; when the budget runs out the search aborts to the exact
+  /// key rather than burn unbounded CPU on a cache key.
   uint32_t max_search_nodes = 4096;
 };
 
@@ -65,6 +66,18 @@ std::string ExactQueryKey(const Hypergraph& q);
 /// certificate, which is invariant under vertex renaming and hyperedge
 /// reordering. Exceeding the size cutoff or the node budget returns the
 /// exact key (correct, merely less deduplicating).
+///
+/// Twin pruning (the simplest case of automorphism pruning, McKay &
+/// Piperno, "Practical Graph Isomorphism II"): twins are vertices with equal
+/// labels and equal incident-hyperedge sets — e.g. the degree-1 vertices of
+/// one label inside one hyperedge, which make up most of a sampled query.
+/// The search individualises at most one vertex per twin class of the
+/// target cell. This is exact: swapping two twins of one cell is an
+/// automorphism that fixes the current colouring, and refinement and the
+/// certificate are equivariant, so the skipped subtree has the same set of
+/// leaf certificates as the explored one. The minimum certificate — hence
+/// the key — is the one the unpruned search would find; a twin class of k
+/// vertices costs k - 1 search nodes instead of k! leaves.
 CanonicalKey CanonicalQueryKey(const Hypergraph& q,
                                const CanonicalOptions& options = {});
 

@@ -86,36 +86,6 @@ size_t IntersectSize(const std::vector<uint32_t>& a,
   return n;
 }
 
-void IntersectInPlace(std::vector<uint32_t>* a,
-                      const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> tmp;
-  Intersect(*a, b, &tmp);
-  a->swap(tmp);
-}
-
-void Union(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
-           std::vector<uint32_t>* out) {
-  out->clear();
-  out->reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(*out));
-}
-
-void UnionInPlace(std::vector<uint32_t>* a, const std::vector<uint32_t>& b) {
-  if (b.empty()) return;
-  std::vector<uint32_t> tmp;
-  Union(*a, b, &tmp);
-  a->swap(tmp);
-}
-
-void Difference(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
-                std::vector<uint32_t>* out) {
-  out->clear();
-  out->reserve(a.size());
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(*out));
-}
-
 bool Contains(const std::vector<uint32_t>& a, uint32_t x) {
   return std::binary_search(a.begin(), a.end(), x);
 }
@@ -133,11 +103,6 @@ bool Intersects(const std::vector<uint32_t>& a,
     }
   }
   return false;
-}
-
-bool IsSubset(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) {
-  if (a.size() > b.size()) return false;
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
 }
 
 void InsertSorted(std::vector<uint32_t>* a, uint32_t x) {

@@ -24,28 +24,11 @@ void Intersect(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
 size_t IntersectSize(const std::vector<uint32_t>& a,
                      const std::vector<uint32_t>& b);
 
-/// In-place: a = a ∩ b.
-void IntersectInPlace(std::vector<uint32_t>* a, const std::vector<uint32_t>& b);
-
-/// out = a ∪ b. `out` is cleared first. Aliasing with inputs is not allowed.
-void Union(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
-           std::vector<uint32_t>* out);
-
-/// In-place: a = a ∪ b (uses a scratch buffer internally).
-void UnionInPlace(std::vector<uint32_t>* a, const std::vector<uint32_t>& b);
-
-/// out = a \ b. `out` is cleared first.
-void Difference(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
-                std::vector<uint32_t>* out);
-
 /// True iff x ∈ a (binary search).
 bool Contains(const std::vector<uint32_t>& a, uint32_t x);
 
 /// True iff a ∩ b is non-empty (early-exit merge/gallop).
 bool Intersects(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b);
-
-/// True iff a ⊆ b.
-bool IsSubset(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b);
 
 /// Inserts x into sorted vector a, keeping it sorted; no-op if present.
 void InsertSorted(std::vector<uint32_t>* a, uint32_t x);

@@ -744,6 +744,45 @@ TEST(ServiceTest, IsomorphicRepeatHitsPlanCacheAndMirrors) {
   EXPECT_EQ(report.unique_plans, 2u);  // paper shape + the near-miss
 }
 
+TEST(ServiceTest, RenamedTwinHeavyRepeatHitsPlanCacheIsomorphically) {
+  // Data: two disjoint copies of the twin-heavy query. Its renamed copy
+  // hits only because the labeller prunes twins: unpruned, the search
+  // exhausts its budget and falls back to the exact key, a miss.
+  const Hypergraph q = TwinHeavyQueryHypergraph();
+  Hypergraph data = q.Clone();
+  const VertexId offset = static_cast<VertexId>(q.NumVertices());
+  for (VertexId v = 0; v < q.NumVertices(); ++v) data.AddVertex(q.label(v));
+  for (EdgeId e = 0; e < q.NumEdges(); ++e) {
+    VertexSet members;
+    for (VertexId v : q.edge(e)) members.push_back(v + offset);
+    (void)data.AddEdge(std::move(members));
+  }
+  IndexedHypergraph idx = IndexedHypergraph::Build(std::move(data));
+
+  std::vector<VertexId> perm(q.NumVertices());
+  for (VertexId v = 0; v < q.NumVertices(); ++v) {
+    perm[v] = static_cast<VertexId>(q.NumVertices()) - 1 - v;
+  }
+  Hypergraph renamed = PermutedHypergraph(q, perm, {2, 0, 1});
+  Result<MatchStats> expected = MatchSequential(idx, renamed);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_GT(expected.value().embeddings, 0u);
+
+  MatchService service(idx, BaseOptions(2));
+  Ticket first = service.Submit(q.Clone());
+  EXPECT_EQ(first.Wait().stats.embeddings, expected.value().embeddings);
+  Ticket second = service.Submit(std::move(renamed));
+  EXPECT_EQ(second.Wait().status, QueryStatus::kOk);
+  EXPECT_TRUE(second.Wait().mirrored);
+  EXPECT_EQ(second.Wait().stats.embeddings, expected.value().embeddings);
+
+  const ServiceReport report = service.Shutdown();
+  EXPECT_EQ(report.plan_cache_hits, 1u);
+  EXPECT_EQ(report.plan_cache_isomorphic_hits, 1u);
+  EXPECT_EQ(report.mirrored, 1u);
+  EXPECT_EQ(report.unique_plans, 1u);
+}
+
 TEST(ServiceTest, IsomorphismDisabledFallsBackToExactMatching) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   ServiceOptions options = BaseOptions(2);

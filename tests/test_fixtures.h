@@ -2,6 +2,7 @@
 #define HGMATCH_TESTS_TEST_FIXTURES_H_
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/hypergraph.h"
@@ -36,6 +37,42 @@ inline Hypergraph PaperQueryHypergraph() {
   (void)q.AddEdge({0, 1, 2});
   (void)q.AddEdge({0, 1, 3, 4});
   return q;
+}
+
+/// A twin-heavy query shaped like the sampled AR/SB q3 queries: three
+/// hyperedges of arity 10, 10 and 12 through one hub vertex (label 1);
+/// every other vertex has degree 1 and label 0 or 1. Its symmetries are
+/// twin swaps (degree-1 vertices of one label in one hyperedge) and the
+/// swap of the two arity-10 hyperedges.
+inline Hypergraph TwinHeavyQueryHypergraph() {
+  Hypergraph q;
+  const VertexId hub = q.AddVertex(1);
+  for (uint32_t arity : {10u, 10u, 12u}) {
+    VertexSet members = {hub};
+    for (uint32_t i = 1; i < arity; ++i) {
+      members.push_back(q.AddVertex(i % 3 == 0 ? 1 : 0));
+    }
+    (void)q.AddEdge(std::move(members));
+  }
+  return q;
+}
+
+/// Applies a vertex permutation `perm` (old id -> new id) to `q`, adding
+/// the hyperedges in the order given by `edge_order`: an isomorphic copy
+/// with different ids.
+inline Hypergraph PermutedHypergraph(const Hypergraph& q,
+                                     const std::vector<VertexId>& perm,
+                                     const std::vector<EdgeId>& edge_order) {
+  Hypergraph out;
+  std::vector<Label> labels(q.NumVertices());
+  for (VertexId v = 0; v < q.NumVertices(); ++v) labels[perm[v]] = q.label(v);
+  for (Label l : labels) out.AddVertex(l);
+  for (EdgeId e : edge_order) {
+    VertexSet members;
+    for (VertexId v : q.edge(e)) members.push_back(perm[v]);
+    (void)out.AddEdge(std::move(members), q.edge_label(e));
+  }
+  return out;
 }
 
 /// Small random hypergraph configurations used by cross-engine property
