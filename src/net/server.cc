@@ -729,9 +729,10 @@ class MatchServer::Impl {
   void TrackTicket(IoThread* t, Conn* conn, uint64_t request_id,
                    CatalogTicket ct, uint32_t tenant_id,
                    const std::string& graph) {
-    // Backpressure sheds, planning errors and mirrors of completed
-    // canonicals resolve synchronously — and a fast query may already
-    // have finished between Submit and here: answer inline.
+    // Backpressure sheds, planning errors and mirrors (repeats answered
+    // from a finished run's outcome) resolve synchronously — and a fast
+    // query may already have finished between Submit and here: answer
+    // inline.
     const QueryOutcome* done = ct.ticket.TryGet();
     if (done != nullptr) {
       DeliverOutcome(t, conn, request_id, *done, tenant_id, graph);
@@ -928,8 +929,8 @@ class MatchServer::Impl {
         // Unknown ids are ignored: the cancel raced the outcome.
         if (it != conn->inflight.end()) {
           catalog_.Cancel(it->second);
-          // A synchronously resolved cancel (queued query, mirror of a
-          // running canonical) is ready right now: answer inline and drop
+          // A synchronously resolved cancel (a query still waiting for
+          // admission) is ready right now: answer inline and drop
           // its route so the ready-list sweep cannot answer it again. An
           // unresolved cancel stays registered — the query stops at its
           // next task boundary and delivers through the hook as usual.

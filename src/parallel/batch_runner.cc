@@ -9,9 +9,8 @@ namespace hgmatch {
 // The batch engine is a compatibility facade over the streaming query
 // service: one private MatchService per call (so plan-cache statistics are
 // batch-scoped), submit every query in input order, wait for all of them,
-// map outcomes back to input order. Admission order, plan caching,
-// sink-less repeat mirroring and per-query exactness all live in the
-// service/scheduler layers.
+// map outcomes back to input order. Admission order, plan caching and
+// per-query exactness all live in the service/scheduler layers.
 BatchResult RunBatch(const IndexedHypergraph& data,
                      const std::vector<Hypergraph>& queries,
                      const BatchOptions& options,
@@ -69,7 +68,6 @@ BatchResult RunBatch(const IndexedHypergraph& data,
   result.mirrored = sr.mirrored;
   result.plan_cache_hits = sr.plan_cache_hits;
   result.plan_cache_isomorphic_hits = sr.plan_cache_isomorphic_hits;
-  result.redispatched = sr.redispatched;
   result.unique_plans = sr.unique_plans;
   return result;
 }

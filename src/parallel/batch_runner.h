@@ -48,11 +48,13 @@ struct BatchOptions {
   /// and starve cheap queries of the batch. 0 = off.
   uint64_t task_quota = 0;
 
-  /// Detect repeated queries and reuse one compiled plan for all copies;
-  /// copies without a sink additionally skip execution entirely and mirror
-  /// the first copy's exact counts. Repeats are found via an
-  /// isomorphism-invariant canonical key (small queries) falling back to an
-  /// exact structural key, so renamed/reordered duplicates share too.
+  /// Detect repeated queries and reuse one compiled plan for all copies.
+  /// Repeats are found via an isomorphism-invariant canonical key (small
+  /// queries) falling back to an exact structural key, so
+  /// renamed/reordered duplicates share too. Every copy still executes: a
+  /// batch submits all its queries before the pool starts, so no copy has
+  /// a finished outcome to mirror when its duplicates arrive (see
+  /// ServiceOptions::plan_cache).
   bool plan_cache = true;
 
   /// When false the plan cache keys on byte-exact structure only — the
@@ -70,9 +72,10 @@ struct BatchQueryResult {
   /// Terminal state: ok / timeout / limit / cancelled / plan-error.
   QueryStatus outcome = QueryStatus::kOk;
 
-  /// True when this query's counts were mirrored from a structurally
-  /// identical earlier query (plan cache, sink-less repeat) instead of
-  /// executing.
+  /// True when this query's counts were mirrored from a finished run of a
+  /// structurally identical query instead of executing. Always false for
+  /// RunBatch, whose copies all execute; kept so per-query reporting
+  /// matches the service's QueryOutcome.
   bool mirrored = false;
 
   /// Per-query counters, exactly comparable to a standalone run of the same
@@ -94,16 +97,16 @@ struct BatchResult {
   uint64_t peak_task_bytes = 0;           // across all concurrent queries
   double seconds = 0;                     // batch wall time
 
-  /// Queries fully completed (planned, not timed out, no limit hit) —
-  /// including mirrored repeats, whose canonical copy completed.
+  /// Queries fully completed (planned, not timed out, no limit hit).
   uint64_t completed = 0;
 
   /// Queries that actually executed on the pool.
   uint64_t executed = 0;
 
-  /// Sink-less repeats that skipped execution and mirrored the canonical
-  /// copy's counts. Mirrored queries are finished *results* but zero-cost
-  /// *work* — keep the two apart when reporting throughput.
+  /// Sink-less repeats that skipped execution and mirrored a finished
+  /// copy's counts (0 for RunBatch; see BatchOptions::plan_cache).
+  /// Mirrored queries are finished *results* but zero-cost *work* — keep
+  /// the two apart when reporting throughput.
   uint64_t mirrored = 0;
 
   /// Queries whose compiled plan came from the plan cache (i.e. they were
@@ -115,10 +118,6 @@ struct BatchResult {
   /// (isomorphism-invariant) key rather than byte-for-byte structural
   /// equality — i.e. renamed/reordered duplicates.
   uint64_t plan_cache_isomorphic_hits = 0;
-
-  /// Mirrors whose canonical copy resolved non-mirrorably (cancel/timeout)
-  /// and that were re-submitted as independent executions.
-  uint64_t redispatched = 0;
 
   /// Distinct plans actually compiled for this batch.
   uint64_t unique_plans = 0;

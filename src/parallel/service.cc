@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -32,7 +33,6 @@ struct ServiceMetrics {
   Counter* plan_cache_misses;
   Counter* plan_cache_evictions;
   Counter* mirrored;
-  Counter* redispatched;
 };
 
 const ServiceMetrics& Metrics() {
@@ -44,7 +44,6 @@ const ServiceMetrics& Metrics() {
         reg.GetCounter("hgmatch_plan_cache_misses_total"),
         reg.GetCounter("hgmatch_plan_cache_evictions_total"),
         reg.GetCounter("hgmatch_queries_mirrored_total"),
-        reg.GetCounter("hgmatch_queries_redispatched_total"),
     };
   }();
   return m;
@@ -107,11 +106,10 @@ void MergeShardOutcome(QueryOutcome* into, const QueryOutcome& out,
   into->span.MergeFrom(out.span);
 }
 
-// Whether a canonical outcome is a trustworthy source of mirrored counts:
-// a complete run (kOk) or a limit stop at the same limit budget. Anything
-// else (timeout, cancelled) carries partial counts that belong only to the
-// execution that was interrupted — mirrors of such a canonical re-dispatch
-// instead of copying them.
+// Whether a finished run is a trustworthy source of mirrored counts: a
+// complete run (kOk) or a limit stop at the same limit budget. Anything
+// else (timeout, cancelled, rejected) carries partial or no counts that
+// belong only to the run that was interrupted.
 bool Mirrorable(QueryStatus s) {
   return s == QueryStatus::kOk || s == QueryStatus::kLimit;
 }
@@ -151,24 +149,38 @@ struct ResolveGate {
   std::condition_variable cv;
 };
 
+// What one plan-cache entry shares with the records running its plan.
+// The entry and each in-flight record of the plan hold a reference, so a
+// record writes back at resolution without touching the cache itself.
+struct PlanShare {
+  // Latest measured task count of a complete run of the plan (0 = not yet
+  // measured); the weighted-fair admission charge of later runs.
+  std::atomic<uint64_t> cost{0};
+  // In-flight submissions of the plan (eviction guard: only idle entries,
+  // live == 0, may be evicted). Records decrement it at resolution under
+  // resolve_mutex_, while the cache reads it under mutex_.
+  std::atomic<uint32_t> live{0};
+  // The last ok/limit outcome of a run under the entry's budgets, marked
+  // mirrored: what a sink-less same-budget repeat resolves with instead of
+  // executing. Empty until such a run finishes. Cancelled, timed-out and
+  // rejected runs never write it. Guarded by resolve_mutex_.
+  std::optional<QueryOutcome> outcome;
+};
+
 // Shared state behind one Ticket. Exactly one of three shapes:
-//  * executed:  sched_index valid — the query ran (or runs) on the pool;
-//  * mirror:    canonical set — a sink-less structural repeat that copies
-//               the canonical execution's outcome instead of running. A
-//               mirror whose canonical ends with a non-mirrorable outcome
-//               (cancelled / timed out) is *re-dispatched*: it detaches,
-//               clears `canonical` and becomes an executed record on the
-//               shared compiled plan, with its own budgets and hooks;
+//  * executed:  sched_index (or fan) valid — the query ran (or runs) on
+//               the pool;
+//  * mirror:    a sink-less repeat resolved inside Submit from its cache
+//               entry's stored outcome, without running;
 //  * failed:    plan_status not-ok — failed planning or submitted after
 //               Shutdown; resolved immediately.
 // Resolution is eager and completion-driven: the scheduler's per-query
 // completion hook resolves an executed record the moment its query
-// finalises (mirrors resolve in the same step as their canonical), after
-// which the record is the slim, self-contained outcome store — the
-// scheduler slot behind it is released (and, for plan-cache-off
-// submissions, the compiled plan freed), so a record costs the
-// scheduler nothing once its query finished, whether or not anyone ever
-// retrieves the outcome.
+// finalises, after which the record is the slim, self-contained outcome
+// store — the scheduler slot behind it is released (and, for
+// plan-cache-off submissions, the compiled plan freed), so a record costs
+// the scheduler nothing once its query finished, whether or not anyone
+// ever retrieves the outcome.
 struct QueryRecord {
   ServiceImpl* service = nullptr;
   // Pin on the service's resolve gate; lets Ticket reads outlive the
@@ -177,52 +189,27 @@ struct QueryRecord {
   uint64_t id = 0;
   Status plan_status;
   uint32_t sched_index = kNotScheduled;
-  std::shared_ptr<QueryRecord> canonical;
   Hypergraph owned_query;  // keeps the plan's query alive for owning submits
   // Plan-cache-off submissions own their plan; freed at
-  // resolution (cached plans instead live in ServiceImpl::plans_ for the
-  // service lifetime, bounded by distinct query structures).
+  // resolution (cached plans instead live in ServiceImpl::cache_, bounded
+  // by distinct query structures).
   std::unique_ptr<QueryPlan> owned_plan;
-  // Cost tracker of this record's plan-cache entry: latest measured task
-  // count of a completed run of the plan (0 = not yet measured). Written at
-  // resolution, read at later submissions for cost-aware WFQ charging.
-  std::shared_ptr<std::atomic<uint64_t>> plan_cost;
-  // In-flight-submission refcount of this record's plan-cache entry (the
-  // LRU eviction guard); decremented exactly once, at resolution. Null
-  // for cache-off submissions.
-  std::shared_ptr<std::atomic<uint32_t>> plan_live;
+  // The plan-cache entry this executed record runs, pinned (share->live)
+  // until resolution, when the pin drops and the measured cost and — for
+  // a mirror_source run — an ok/limit outcome are written back. Null for
+  // cache-off submissions and mirrors.
+  std::shared_ptr<PlanShare> plan_share;
+  // This run's budgets equal its cache entry's, so its outcome may serve
+  // later repeats.
+  bool mirror_source = false;
   // Sharded execution state; null for plain (shards <= 1) submissions.
   std::shared_ptr<ShardFan> fan;
-
-  // Mirror re-dispatch state, set at attachment (under mutex_ +
-  // resolve_mutex_) and consumed by RedispatchMirrors when the canonical
-  // ends with a non-mirrorable outcome: the user's own SubmitOptions
-  // (budgets, tenant, priority, trace — the sink is null by the mirror
-  // precondition, the completion hook lives in `completion` above), the
-  // shared compiled plan (kept alive by the plan_live pin until this
-  // record resolves), and the plan-cache key so the first accepted
-  // re-dispatch can take over as the structure's canonical.
-  SubmitOptions mirror_options;
-  const QueryPlan* mirror_plan = nullptr;
-  std::string cache_key;
-  // True from the moment ResolveLocked hands this mirror to the
-  // re-dispatch list until its pool submission attaches: a Cancel() in
-  // that window has no scheduler index to target, so it latches
-  // cancel_pending and the attachment cancels on the way out. Both
-  // guarded by resolve_mutex_.
-  bool redispatching = false;
-  bool cancel_pending = false;
 
   // Per-submit completion hook (SubmitOptions::completion); moved into the
   // fire list when the record resolves, which is what makes exactly-once
   // structural — a record resolves once, and the hook can only be taken
   // once. Guarded by resolve_mutex_.
   std::function<void(const QueryOutcome&)> completion;
-  // Unresolved sink-less repeats attached to this (canonical) record; they
-  // resolve in the same step as the canonical, so mirror tickets and their
-  // completion hooks never wait on anything but the one real execution.
-  // Guarded by resolve_mutex_.
-  std::vector<std::shared_ptr<QueryRecord>> mirrors;
 
   bool released = false;  // scheduler slot handed back; resolve_mutex_
 
@@ -254,13 +241,13 @@ class ServiceImpl {
   ~ServiceImpl() { Shutdown(); }
 
   Ticket Submit(Hypergraph query, const SubmitOptions& so) {
-    auto rec = std::make_shared<QueryRecord>();
+    std::shared_ptr<QueryRecord> rec = NewRecord(so);
     rec->owned_query = std::move(query);
-    return SubmitRecord(std::move(rec), nullptr, so);
+    return SubmitRecord(rec, rec->owned_query, so);
   }
 
   Ticket SubmitBorrowed(const Hypergraph& query, const SubmitOptions& so) {
-    return SubmitRecord(std::make_shared<QueryRecord>(), &query, so);
+    return SubmitRecord(NewRecord(so), query, so);
   }
 
   // One admission pass for the whole batch: everything SubmitRecord does
@@ -271,30 +258,15 @@ class ServiceImpl {
     std::vector<std::shared_ptr<QueryRecord>> recs;
     recs.reserve(batch.size());
     for (BatchSubmission& b : batch) {
-      auto rec = std::make_shared<QueryRecord>();
-      rec->owned_query = std::move(b.query);
-      rec->service = this;
-      rec->gate = gate_;
-      rec->completion = b.options.completion;
-      recs.push_back(std::move(rec));
+      recs.push_back(NewRecord(b.options));
+      recs.back()->owned_query = std::move(b.query);
     }
     std::vector<FiredCompletion> fire;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       SweepResolvedRecordsLocked();
       for (size_t i = 0; i < recs.size(); ++i) {
-        const std::shared_ptr<QueryRecord>& rec = recs[i];
-        rec->id = submitted_++;
-        if (sealed_) {
-          rec->plan_status = Status::InvalidArgument("service is shut down");
-          ++plan_errors_;
-          QueryOutcome out;
-          out.status = QueryStatus::kPlanError;
-          ResolveNow(rec, out, &fire);
-          records_.push_back(rec);
-        } else {
-          SubmitOpenLocked(rec, rec->owned_query, batch[i].options, &fire);
-        }
+        SubmitLocked(recs[i], recs[i]->owned_query, batch[i].options, &fire);
       }
     }
     if (!fire.empty()) {
@@ -421,59 +393,29 @@ class ServiceImpl {
   // service's destruction (catalog unload racing a waiter) stays safe.
 
   bool Cancel(const std::shared_ptr<QueryRecord>& rec) {
-    if (rec->resolved.load(std::memory_order_acquire)) return false;
-    std::vector<FiredCompletion> fire;
+    if (rec->fan == nullptr) {
+      // Resolution arrives through the scheduler's completion hook —
+      // synchronously inside this call for queries cancelled while
+      // queued, at the next task boundary for in-flight ones. A released
+      // slot reports false here (long finished).
+      return sched_->Cancel(rec->sched_index);
+    }
     std::vector<uint32_t> subs;
-    bool mirror = false;
     {
-      // Classify under resolve_mutex_: re-dispatch moves a record from
-      // mirror to executed concurrently, so an unlocked canonical check
-      // could route the cancel at a stale shape.
       std::lock_guard<std::mutex> lock(resolve_mutex_);
       if (rec->resolved.load(std::memory_order_acquire)) return false;
-      if (rec->canonical != nullptr) {
-        // Mirror: detach and resolve as cancelled, leaving the canonical
-        // execution and any sibling mirrors untouched — a cancel aimed at
-        // the mirror never propagates to the shared execution, and a
-        // canonical that already ended abnormally cannot drag the mirror
-        // with it (such a mirror was about to re-dispatch; this cancel
-        // wins and the re-dispatch skips it).
-        QueryOutcome out;
-        out.status = QueryStatus::kCancelled;
-        ResolveLocked(rec, out, &fire, nullptr);
-        mirror = true;
-      } else if (rec->redispatching) {
-        // Detached from its canonical but its pool submission has not
-        // attached yet — nothing to target; the attachment observes the
-        // flag and cancels on the way out.
-        rec->cancel_pending = true;
-        return true;
-      } else if (rec->fan != nullptr) {
-        subs = rec->fan->sub;
-        // Slices still inside their own Submit call attach later;
-        // AttachShardIndex observes the flag and cancels them then.
-        rec->fan->cancel_issued = true;
-      }
+      subs = rec->fan->sub;
+      // Slices still inside their own Submit call attach later;
+      // AttachShardIndex observes the flag and cancels them then.
+      rec->fan->cancel_issued = true;
     }
-    if (mirror) {
-      resolve_cv_.notify_all();
-      FireCompletions(&fire);
-      return true;
+    // Sharded: cancel every attached sub-query; the fan resolves (status
+    // kCancelled dominating ok/limit) once every slice does.
+    bool any = false;
+    for (uint32_t idx : subs) {
+      if (idx != kNotScheduled && sched_->Cancel(idx)) any = true;
     }
-    if (!subs.empty()) {
-      // Sharded: cancel every attached sub-query; the fan resolves
-      // (status kCancelled dominating ok/limit) once every slice does.
-      bool any = false;
-      for (uint32_t idx : subs) {
-        if (idx != kNotScheduled && sched_->Cancel(idx)) any = true;
-      }
-      return any;
-    }
-    // Resolution arrives through the scheduler's completion hook —
-    // synchronously inside this call for queries cancelled while queued,
-    // at the next task boundary for in-flight ones. A released slot
-    // reports false here (long finished).
-    return sched_->Cancel(rec->sched_index);
+    return any;
   }
 
  private:
@@ -482,7 +424,6 @@ class ServiceImpl {
     report_.submitted = submitted_;
     report_.executed = executed_;
     report_.mirrored = mirrored_;
-    report_.redispatched = redispatched_;
     report_.rejected = rejected_.load(std::memory_order_acquire);
     report_.plan_errors = plan_errors_;
     report_.plan_cache_hits = plan_cache_hits_;
@@ -513,17 +454,16 @@ class ServiceImpl {
 
   // The scheduler-level completion hook attached to every pool submission,
   // and the heart of completion-driven delivery: the moment the scheduler
-  // finalises the query, the record resolves (slot released, mirrors
-  // resolved along), every Ticket::Wait is woken, and the user hooks fire
-  // — all on the thread that finalised the outcome.
+  // finalises the query, the record resolves (slot released), every
+  // Ticket::Wait is woken, and the user hooks fire — all on the thread
+  // that finalised the outcome.
   void OnSchedulerComplete(const std::shared_ptr<QueryRecord>& rec,
                            const QueryOutcome& out) {
     std::vector<FiredCompletion> fire;
-    std::vector<std::shared_ptr<QueryRecord>> redispatch;
     {
       std::lock_guard<std::mutex> lock(resolve_mutex_);
       if (!rec->resolved.load(std::memory_order_acquire)) {
-        ResolveLocked(rec, out, &fire, &redispatch);
+        ResolveLocked(rec, out, &fire);
       }
       // Claimed in the same critical section that publishes the resolved
       // flag, so a shared-pool Shutdown observing every record resolved
@@ -531,94 +471,67 @@ class ServiceImpl {
       // the gap where it could destroy the service under a live delivery.
       ++hook_busy_;
     }
-    DeliverResolutions(&fire, &redispatch);
+    DeliverResolutions(&fire);
   }
 
   // The post-resolution delivery tail of a pool-worker completion hook:
-  // wake waiters, fire user hooks, re-dispatch any mirrors the resolution
-  // orphaned, then drop the delivery claim taken under resolve_mutex_.
-  // Re-dispatch happens under the claim: the orphaned mirrors are
-  // unresolved records, so a shared-pool Shutdown cannot pass
-  // WaitRecordsResolved until they resolve, and holding the claim keeps
-  // the service alive for the re-dispatch submissions themselves. The
-  // final notify happens *under* the lock and is the thread's last touch
-  // of the service, so a Shutdown waiter that wakes on it can safely let
-  // the service be destroyed.
-  void DeliverResolutions(std::vector<FiredCompletion>* fire,
-                          std::vector<std::shared_ptr<QueryRecord>>*
-                              redispatch) {
+  // wake waiters, fire user hooks, then drop the delivery claim taken
+  // under resolve_mutex_. The final notify happens *under* the lock and is
+  // the thread's last touch of the service, so a Shutdown waiter that
+  // wakes on it can safely let the service be destroyed.
+  void DeliverResolutions(std::vector<FiredCompletion>* fire) {
     resolve_cv_.notify_all();
     FireCompletions(fire);
-    if (redispatch != nullptr) RedispatchMirrors(redispatch);
     std::lock_guard<std::mutex> lock(resolve_mutex_);
     --hook_busy_;
     resolve_cv_.notify_all();
   }
 
   // Stores `out` as the record's final outcome, releases whatever the
-  // record still pins (its scheduler slot and, for plan-cache-off
-  // submissions, the compiled plan), feeds the measured task count back
-  // into the plan-cache cost tracker (cost-aware WFQ), settles attached
-  // mirrors, and harvests the completion hooks into *fire for lock-free
-  // delivery by the caller. Mirrors resolve from the same outcome when it
-  // is mirrorable (ok / limit); otherwise they are handed to *redispatch
-  // for independent re-execution once every lock is dropped — unless
-  // redispatch is null (Shutdown's resolve-all sweep and other paths where
-  // re-dispatch is impossible), in which case they fate-share the outcome
-  // as a last resort. Callers hold resolve_mutex_, guarantee
-  // !rec->resolved, and notify resolve_cv_ after releasing the lock.
-  // Recursion depth is one: mirrors have no mirrors.
+  // record still pins (its scheduler slot, its plan-cache entry and, for
+  // plan-cache-off submissions, the compiled plan), writes the measured
+  // task count (cost-aware WFQ) and a mirrorable outcome back to the
+  // cache entry, and harvests the completion hooks into *fire for
+  // lock-free delivery by the caller. Callers hold resolve_mutex_,
+  // guarantee !rec->resolved, and notify resolve_cv_ after releasing the
+  // lock.
   void ResolveLocked(const std::shared_ptr<QueryRecord>& rec,
                      const QueryOutcome& out,
-                     std::vector<FiredCompletion>* fire,
-                     std::vector<std::shared_ptr<QueryRecord>>* redispatch) {
+                     std::vector<FiredCompletion>* fire) {
     rec->outcome = out;
-    rec->outcome.mirrored = rec->canonical != nullptr;
     if (rec->outcome.span.enabled) {
       // The record resolves exactly once, so this stamp is exactly-once
-      // per query — mirrors get their own stamp when they resolve off the
-      // canonical's outcome a moment later.
+      // per query — a mirror gets its own stamp over the copied span.
       rec->outcome.span.resolve_seconds = MonotonicSeconds();
     }
-    if (rec->plan_cost != nullptr && rec->canonical == nullptr &&
-        out.status == QueryStatus::kOk) {
-      // Only complete runs measure the plan's true cost; partial runs
-      // (timeout/cancel/limit) undercount and would skew later charges.
-      rec->plan_cost->store(std::max<uint64_t>(1, out.stats.expansions),
-                            std::memory_order_relaxed);
+    if (PlanShare* share = rec->plan_share.get()) {
+      if (out.status == QueryStatus::kOk) {
+        // Only complete runs measure the plan's true cost; partial runs
+        // (timeout/cancel/limit) undercount and would skew later charges.
+        share->cost.store(std::max<uint64_t>(1, out.stats.expansions),
+                          std::memory_order_relaxed);
+      }
+      if (rec->mirror_source && Mirrorable(out.status)) {
+        share->outcome = rec->outcome;
+        share->outcome->mirrored = true;
+      }
+      // Unpins the entry for LRU eviction; exactly once per record
+      // (resolution is exactly-once).
+      share->live.fetch_sub(1, std::memory_order_acq_rel);
+      rec->plan_share.reset();
     }
-    if (rec->plan_live != nullptr) {
-      // Unpins the plan-cache entry for LRU eviction; exactly once per
-      // record (resolution is exactly-once).
-      rec->plan_live->fetch_sub(1, std::memory_order_acq_rel);
-      rec->plan_live.reset();
-    }
-    if (rec->outcome.status == QueryStatus::kRejected &&
-        rec->canonical == nullptr) {
+    if (rec->outcome.status == QueryStatus::kRejected) {
       rejected_.fetch_add(1, std::memory_order_acq_rel);
     }
     rec->resolved.store(true, std::memory_order_release);
     ReleaseSlotLocked(rec.get());
     fire->push_back({rec, std::move(rec->completion)});
-    const bool mirrorable = Mirrorable(rec->outcome.status);
-    for (std::shared_ptr<QueryRecord>& m : rec->mirrors) {
-      if (m->resolved.load(std::memory_order_acquire)) continue;
-      if (mirrorable || redispatch == nullptr) {
-        ResolveLocked(m, rec->outcome, fire, nullptr);
-      } else {
-        m->redispatching = true;
-        redispatch->push_back(m);
-      }
-    }
-    rec->mirrors.clear();
     if (rec->sched_index != kNotScheduled || rec->fan != nullptr) {
       // The finished count (ServiceGauges::finished): bumped strictly after
-      // this record's resolved flag AND after its mirrors resolved (the
-      // fetch_add is visible to lock-free readers while resolve_mutex_ is
-      // still held), so an observer of the advanced count always finds
-      // every dependent outcome retrievable.
-      // A sharded record's fan is set before any slice is submitted, so
-      // no attachment catch-up is needed on the fan path.
+      // this record's resolved flag, so an observer of the advanced count
+      // always finds the outcome retrievable. A sharded record's fan is
+      // set before any slice is submitted, so no attachment catch-up is
+      // needed on the fan path.
       finished_.fetch_add(1, std::memory_order_release);
     }
   }
@@ -655,20 +568,12 @@ class ServiceImpl {
   // performs the finished-count bump.
   void AttachSchedIndex(const std::shared_ptr<QueryRecord>& rec,
                         uint32_t index) {
-    bool cancel = false;
-    {
-      std::lock_guard<std::mutex> lock(resolve_mutex_);
-      rec->sched_index = index;
-      // A re-dispatched mirror is targetable again from here on; honour a
-      // Cancel() that arrived while it had no scheduler index.
-      rec->redispatching = false;
-      cancel = rec->cancel_pending;
-      if (rec->resolved.load(std::memory_order_acquire) && !rec->released) {
-        ReleaseSlotLocked(rec.get());
-        finished_.fetch_add(1, std::memory_order_release);
-      }
+    std::lock_guard<std::mutex> lock(resolve_mutex_);
+    rec->sched_index = index;
+    if (rec->resolved.load(std::memory_order_acquire) && !rec->released) {
+      ReleaseSlotLocked(rec.get());
+      finished_.fetch_add(1, std::memory_order_release);
     }
-    if (cancel) sched_->Cancel(index);
   }
 
   // Fan analogue of AttachSchedIndex: publishes slice k's scheduler index.
@@ -701,8 +606,6 @@ class ServiceImpl {
                        const QueryOutcome& out) {
     std::vector<uint32_t> to_cancel;
     std::vector<FiredCompletion> fire;
-    std::vector<std::shared_ptr<QueryRecord>> redispatch;
-    bool resolved_now = false;
     {
       std::lock_guard<std::mutex> lock(resolve_mutex_);
       ShardFan* fan = rec->fan.get();
@@ -721,8 +624,7 @@ class ServiceImpl {
       }
       if (--fan->remaining == 0 &&
           !rec->resolved.load(std::memory_order_acquire)) {
-        ResolveLocked(rec, fan->merged, &fire, &redispatch);
-        resolved_now = true;
+        ResolveLocked(rec, fan->merged, &fire);
       }
       ++hook_busy_;  // see OnSchedulerComplete
     }
@@ -730,46 +632,16 @@ class ServiceImpl {
     // synchronously for still-queued slices, and those hooks re-enter this
     // function.
     for (uint32_t idx : to_cancel) sched_->Cancel(idx);
-    if (resolved_now) {
-      DeliverResolutions(&fire, &redispatch);
-    } else {
-      std::lock_guard<std::mutex> lock(resolve_mutex_);
-      --hook_busy_;
-      resolve_cv_.notify_all();
-    }
-  }
-
-  // Resolves a record outside the scheduler path (plan errors, sealed
-  // submissions, mirrors of already-finished canonicals). Callers hold no
-  // lock beyond mutex_ and fire + notify after releasing it. Such records
-  // are always freshly created in the same Submit call, so they carry no
-  // mirrors and need no re-dispatch list.
-  void ResolveNow(const std::shared_ptr<QueryRecord>& rec,
-                  const QueryOutcome& out,
-                  std::vector<FiredCompletion>* fire) {
-    std::lock_guard<std::mutex> lock(resolve_mutex_);
-    if (!rec->resolved.load(std::memory_order_acquire)) {
-      ResolveLocked(rec, out, fire, nullptr);
-    }
+    DeliverResolutions(&fire);
   }
 
   // Shutdown path: resolve a straggler record from its finished scheduler
-  // slot (or its canonical record, resolved first — which resolves this
-  // mirror along). Callers hold mutex_ + resolve_mutex_ after
-  // Seal()+WaitIdle(), so every query has finished and every unresolved
-  // record's slot is still retained. The pool is sealed, so a mirror of an
-  // abnormally-ended canonical cannot be re-dispatched here — it keeps the
-  // canonical's outcome (the one remaining, documented fate-share).
+  // slot. Callers hold mutex_ + resolve_mutex_ after Seal()+WaitIdle(), so
+  // every query has finished and every unresolved record's slot is still
+  // retained.
   void ResolveFinishedLocked(const std::shared_ptr<QueryRecord>& rec,
                              std::vector<FiredCompletion>* fire) {
     if (rec->resolved.load(std::memory_order_acquire)) return;
-    if (rec->canonical != nullptr) {
-      ResolveFinishedLocked(rec->canonical, fire);
-      if (!rec->resolved.load(std::memory_order_acquire)) {
-        ResolveLocked(rec, rec->canonical->outcome, fire, nullptr);
-      }
-      return;
-    }
     if (rec->fan != nullptr) {
       // Owned-mode Shutdown after Seal()+WaitIdle(): every slice finished
       // and attached (Submit callers are gone), so re-merge the lot — the
@@ -791,70 +663,11 @@ class ServiceImpl {
         }
         any = true;
       }
-      if (any) ResolveLocked(rec, merged, fire, nullptr);
+      if (any) ResolveLocked(rec, merged, fire);
       return;
     }
     const QueryOutcome* out = sched_->TryGetQuery(rec->sched_index);
-    if (out != nullptr) ResolveLocked(rec, *out, fire, nullptr);
-  }
-
-  // Re-dispatches mirrors orphaned by a canonical that ended with a
-  // non-mirrorable outcome (cancelled / timed out): each becomes an
-  // independent execution on the shared compiled plan it pinned at
-  // attachment, keeping its own budgets, tenant WFQ charge, completion
-  // hook and trace options. The first accepted re-dispatch takes over as
-  // the structure's canonical, so mirroring resumes without waiting for
-  // an external repeat. Callers hold NO lock (this takes mutex_, and a
-  // queue-shed submission fires completion hooks synchronously inside
-  // SubmitToPool). A mirror cancelled in the hand-off window is skipped;
-  // when the service sealed in the meantime the pool would never admit
-  // the submission, so the mirror keeps the canonical's outcome (the
-  // documented shutdown fate-share).
-  void RedispatchMirrors(std::vector<std::shared_ptr<QueryRecord>>* list) {
-    if (list->empty()) return;
-    std::vector<FiredCompletion> fire;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (std::shared_ptr<QueryRecord>& m : *list) {
-        {
-          std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
-          if (m->resolved.load(std::memory_order_acquire)) continue;
-          if (sealed_) {
-            ResolveLocked(m, m->canonical->outcome, &fire, nullptr);
-            continue;
-          }
-          m->canonical.reset();
-        }
-        // From here the record is an executed submission: move its count
-        // from mirrored to executed/rejected (CountScheduledLocked and
-        // the shed path below keep the submitted = executed + mirrored +
-        // rejected + plan_errors ledger exact).
-        --mirrored_;
-        ++redispatched_;
-        Metrics().redispatched->Add();
-        SubmitToPool(m, m->mirror_plan, m->mirror_options, m->plan_cost);
-        const bool accepted = CountScheduledLocked(m.get());
-        auto cit = cache_.find(m->cache_key);
-        if (accepted && cit != cache_.end()) {
-          CacheEntry& entry = cit->second;
-          const bool bad_canonical =
-              entry.canonical->resolved.load(std::memory_order_acquire) &&
-              !Mirrorable(entry.canonical->outcome.status);
-          // A re-dispatch that was itself cancelled synchronously on the
-          // way in (cancel_pending) is no better a canonical than the one
-          // it replaces.
-          const bool usable =
-              !m->resolved.load(std::memory_order_acquire) ||
-              Mirrorable(m->outcome.status);
-          if (bad_canonical && usable) entry.canonical = m;
-        }
-      }
-    }
-    if (!fire.empty()) {
-      resolve_cv_.notify_all();
-      FireCompletions(&fire);
-    }
-    list->clear();
+    if (out != nullptr) ResolveLocked(rec, *out, fire);
   }
 
   void EnsureStarted() {
@@ -876,10 +689,9 @@ class ServiceImpl {
   }
 
   struct CacheEntry {
-    const QueryPlan* plan = nullptr;
-    // The cached plan itself (the entry is its owner, so evicting the
-    // entry frees it).
-    std::unique_ptr<QueryPlan> owned;
+    // The cached plan (the entry is its owner, so evicting the entry
+    // frees it).
+    std::unique_ptr<QueryPlan> plan;
     // Exact structural key of the query the plan was compiled from. Under
     // the isomorphism-aware cache key, a hit whose own exact key differs
     // is an *isomorphic* hit (renamed vertices / reordered hyperedges):
@@ -887,50 +699,40 @@ class ServiceImpl {
     // query's edge numbering, so sink-ful isomorphic repeats compile
     // their own plan.
     std::string exact_key;
-    // Source of mirrored outcomes; replaced when the original ends
-    // unusably and a later accepted run takes over.
-    std::shared_ptr<QueryRecord> canonical;
-    // The record whose owned_query the cached plan references. Never
-    // replaced: it pins the query hypergraph for as long as the plan can
-    // be submitted, even after `canonical` moves on.
+    // The record whose owned_query the cached plan references; pins the
+    // query hypergraph for as long as the plan can be submitted.
     std::shared_ptr<QueryRecord> plan_owner;
-    // Latest measured task count of a completed run of this plan (0 = not
-    // yet measured); the cost-aware WFQ charge of later submissions.
-    std::shared_ptr<std::atomic<uint64_t>> cost;
-    // In-flight submissions of this plan (eviction guard: only idle —
-    // live == 0 — entries may be evicted). Atomic because records
-    // decrement it at resolution under resolve_mutex_, while the cache
-    // reads it under mutex_.
-    std::shared_ptr<std::atomic<uint32_t>> live;
+    // Cost tracker, live pin and mirror source (see PlanShare).
+    std::shared_ptr<PlanShare> share;
     // Position in lru_ (most-recent first); spliced to the front on every
     // hit. Guarded by mutex_.
     std::list<std::string>::iterator lru_it;
-    double timeout_seconds = 0;  // the canonical's effective budgets: only
-    uint64_t limit = 0;          // repeats under equal budgets may mirror
+    double timeout_seconds = 0;  // the first submission's effective
+    uint64_t limit = 0;          // budgets: only runs and repeats under
+                                 // equal budgets write / read `share`'s
+                                 // outcome
   };
 
   // The scheduler-bound SubmitOptions of one pool submission: the user's
-  // parameters, the cost-aware WFQ charge (charge this admission by the
-  // plan's last measured task count; first-seen plans keep the flat 1),
-  // and the service's internal completion hook in place of the user's —
-  // the user hooks fire at service-level resolution, inside that hook.
-  SubmitOptions SchedulerSubmit(
-      const SubmitOptions& so, const std::shared_ptr<QueryRecord>& rec,
-      const std::shared_ptr<std::atomic<uint64_t>>& plan_cost) {
+  // parameters with budgets resolved against this service's defaults, the
+  // cost-aware WFQ charge (charge this admission by the plan's last
+  // measured task count; unmeasured and uncached plans keep the flat 1).
+  // SubmitToPool replaces the user's completion hook with the service's
+  // own; the user hooks fire at service-level resolution, inside it.
+  SubmitOptions SchedulerSubmit(const SubmitOptions& so,
+                                const QueryRecord& rec) const {
     SubmitOptions effective = so;
     // Resolve budget inheritance against *this service's* defaults: on a
     // shared pool the scheduler's own defaults belong to the pool, not to
     // this service.
     effective.timeout_seconds = EffectiveTimeout(so);
     effective.limit = EffectiveLimit(so);
-    if (plan_cost != nullptr && options_.cost_aware_wfq &&
+    if (rec.plan_share != nullptr &&
         options_.admission == AdmissionPolicy::kWeightedFair) {
-      const uint64_t measured = plan_cost->load(std::memory_order_relaxed);
+      const uint64_t measured =
+          rec.plan_share->cost.load(std::memory_order_relaxed);
       if (measured > 0) effective.cost = static_cast<double>(measured);
     }
-    effective.completion = [this, rec](const QueryOutcome& out) {
-      OnSchedulerComplete(rec, out);
-    };
     return effective;
   }
 
@@ -938,31 +740,27 @@ class ServiceImpl {
   // is off, otherwise a K-way scan-slice fan-out whose slices merge back
   // into the one record (see ShardFan). Callers hold mutex_.
   void SubmitToPool(const std::shared_ptr<QueryRecord>& rec,
-                    const QueryPlan* plan, const SubmitOptions& so,
-                    const std::shared_ptr<std::atomic<uint64_t>>& plan_cost) {
+                    const QueryPlan* plan, const SubmitOptions& so) {
+    SubmitOptions base = SchedulerSubmit(so, *rec);
     const uint32_t shards = std::max<uint32_t>(1, options_.shards);
     if (shards == 1) {
-      AttachSchedIndex(rec, sched_->Submit(plan, data_,
-                                           SchedulerSubmit(so, rec,
-                                                           plan_cost)));
+      base.completion = [this, rec](const QueryOutcome& out) {
+        OnSchedulerComplete(rec, out);
+      };
+      AttachSchedIndex(rec, sched_->Submit(plan, data_, base));
       return;
     }
-    auto fan = std::make_shared<ShardFan>();
+    // Set before the first slice is submitted: the slices' completion
+    // hooks and every later reader find it in place.
+    rec->fan = std::make_shared<ShardFan>();
+    ShardFan* fan = rec->fan.get();
     fan->remaining = shards;
     fan->sub.assign(shards, kNotScheduled);
     if (so.sink != nullptr) {
       fan->locked_sink = std::make_unique<LockedSink>(so.sink);
     }
-    {
-      std::lock_guard<std::mutex> lock(resolve_mutex_);
-      rec->fan = fan;
-      // A re-dispatched mirror's cancel routing moves to the fan from
-      // here on; carry over a Cancel() that raced the re-dispatch.
-      rec->redispatching = false;
-      fan->cancel_issued = rec->cancel_pending;
-    }
     for (uint32_t k = 0; k < shards; ++k) {
-      SubmitOptions sub = SchedulerSubmit(so, rec, plan_cost);
+      SubmitOptions sub = base;
       sub.scan_slice = k;
       sub.scan_slices = shards;
       // Charge the fan's admission cost once across its slices, not K
@@ -976,46 +774,43 @@ class ServiceImpl {
     }
   }
 
-  // `borrowed` is null for owning submits (the query then lives in
-  // rec->owned_query).
-  Ticket SubmitRecord(std::shared_ptr<QueryRecord> rec,
-                      const Hypergraph* borrowed, const SubmitOptions& so) {
-    const Hypergraph& query =
-        borrowed != nullptr ? *borrowed : rec->owned_query;
+  std::shared_ptr<QueryRecord> NewRecord(const SubmitOptions& so) {
+    auto rec = std::make_shared<QueryRecord>();
     rec->service = this;
     rec->gate = gate_;
     rec->completion = so.completion;
+    return rec;
+  }
 
+  Ticket SubmitRecord(const std::shared_ptr<QueryRecord>& rec,
+                      const Hypergraph& query, const SubmitOptions& so) {
     std::vector<FiredCompletion> fire;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       SweepResolvedRecordsLocked();
-      rec->id = submitted_++;
-      if (sealed_) {
-        rec->plan_status = Status::InvalidArgument("service is shut down");
-        ++plan_errors_;
-        QueryOutcome out;
-        out.status = QueryStatus::kPlanError;
-        ResolveNow(rec, out, &fire);
-        records_.push_back(rec);
-      } else {
-        SubmitOpenLocked(rec, query, so, &fire);
-      }
+      SubmitLocked(rec, query, so, &fire);
     }
-    // Synchronously resolved submissions (rejections, plan errors, mirrors
-    // of finished canonicals) deliver their hooks before Submit returns;
-    // hooks of executed queries fire from the pool when they finish.
+    // Synchronously resolved submissions (rejections, plan errors,
+    // mirrors) deliver their hooks before Submit returns; hooks of
+    // executed queries fire from the pool when they finish.
     if (!fire.empty()) {
       resolve_cv_.notify_all();
       FireCompletions(&fire);
     }
-    return Ticket(std::move(rec));
+    return Ticket(rec);
   }
 
-  // The not-sealed body of SubmitRecord. Callers hold mutex_.
-  void SubmitOpenLocked(const std::shared_ptr<QueryRecord>& rec,
-                        const Hypergraph& query, const SubmitOptions& so,
-                        std::vector<FiredCompletion>* fire) {
+  // The per-entry body of every submission: assigns the id, then rejects
+  // (sealed service), mirrors, or plans and executes. Callers hold mutex_.
+  void SubmitLocked(const std::shared_ptr<QueryRecord>& rec,
+                    const Hypergraph& query, const SubmitOptions& so,
+                    std::vector<FiredCompletion>* fire) {
+    rec->id = submitted_++;
+    records_.push_back(rec);
+    if (sealed_) {
+      FailLocked(rec, Status::InvalidArgument("service is shut down"), fire);
+      return;
+    }
     std::string key;
     std::string exact_key;
     // A sink-ful isomorphic (non-exact) hit: the cached plan's embedding
@@ -1058,72 +853,20 @@ class ServiceImpl {
               EffectiveTimeout(so) == entry.timeout_seconds &&
               EffectiveLimit(so) == entry.limit;
           if (so.sink == nullptr && same_budgets) {
-            // Mirror candidate: decided under resolve_mutex_ so the
-            // canonical's resolution cannot slip between the check and the
-            // attachment. Counts are isomorphism-invariant, so isomorphic
-            // repeats mirror exactly like exact ones.
-            bool handled = false;
-            {
-              std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
-              if (!entry.canonical->resolved.load(
-                      std::memory_order_acquire)) {
-                // Attach to the running canonical. The mirror pins the
-                // cache entry and remembers the shared plan plus its own
-                // SubmitOptions: if the canonical ends cancelled or timed
-                // out, the mirror re-dispatches as an independent
-                // execution instead of inheriting that fate.
-                rec->canonical = entry.canonical;
-                rec->mirror_plan = entry.plan;
-                rec->mirror_options = so;
-                rec->mirror_options.completion = nullptr;
-                rec->cache_key = key;
-                rec->plan_cost = entry.cost;
-                rec->plan_live = entry.live;
-                entry.live->fetch_add(1, std::memory_order_acq_rel);
-                entry.canonical->mirrors.push_back(rec);
-                handled = true;
-              } else if (Mirrorable(entry.canonical->outcome.status)) {
-                // Already finished with trustworthy counts: resolve the
-                // mirror right here, from the stored outcome.
-                rec->canonical = entry.canonical;
-                if (!rec->resolved.load(std::memory_order_acquire)) {
-                  ResolveLocked(rec, entry.canonical->outcome, fire,
-                                nullptr);
-                }
-                handled = true;
-              }
-              // else: the canonical ended abnormally — fall through and
-              // re-execute on the shared plan.
-            }
-            if (handled) {
+            // Counts are isomorphism-invariant, so isomorphic repeats
+            // mirror like exact ones.
+            std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
+            if (entry.share->outcome.has_value()) {
+              ResolveLocked(rec, *entry.share->outcome, fire);
               ++mirrored_;
               Metrics().mirrored->Add();
-              records_.push_back(rec);
               return;
             }
           }
-          // Re-execute on the shared plan (sink-ful repeat, different
-          // budgets, or a canonical that ended abnormally).
-          rec->plan_cost = entry.cost;
-          if (entry.live != nullptr) {
-            // Pin before the pool can race an eviction pass; unpinned
-            // once, at resolution.
-            rec->plan_live = entry.live;
-            entry.live->fetch_add(1, std::memory_order_acq_rel);
-          }
-          SubmitToPool(rec, entry.plan, so, entry.cost);
-          const bool bad_canonical =
-              entry.canonical->resolved.load(std::memory_order_acquire) &&
-              !Mirrorable(entry.canonical->outcome.status);
-          if (CountScheduledLocked(rec.get()) && bad_canonical &&
-              same_budgets) {
-            // The cached canonical ended unusably (rejected/cancelled/
-            // timeout) so repeats stopped mirroring; this accepted,
-            // same-budget execution becomes the new canonical, restoring
-            // mirroring for the structure once it completes.
-            entry.canonical = rec;
-          }
-          records_.push_back(rec);
+          // Execute on the shared plan: a sink-ful repeat, different
+          // budgets, or no finished ok/limit run to mirror yet (including
+          // a repeat of a query that is still running).
+          ExecuteLocked(rec, entry.plan.get(), so, entry.share, same_budgets);
           return;
         }
       }
@@ -1132,66 +875,76 @@ class ServiceImpl {
     if (options_.plan_cache) Metrics().plan_cache_misses->Add();
     Result<QueryPlan> plan = BuildQueryPlan(query, data_);
     if (!plan.ok()) {
-      rec->plan_status = plan.status();
-      ++plan_errors_;
-      QueryOutcome out;
-      out.status = QueryStatus::kPlanError;
-      ResolveNow(rec, out, fire);
-      records_.push_back(rec);
+      FailLocked(rec, plan.status(), fire);
       return;
     }
-    auto compiled_owner = std::make_unique<QueryPlan>(std::move(plan).value());
-    const QueryPlan* compiled = compiled_owner.get();
+    auto compiled = std::make_unique<QueryPlan>(std::move(plan).value());
     ++unique_plans_;
-    const bool cacheable = options_.plan_cache && !uncacheable_hit;
-    // Everything the completion hook's resolution path reads must be in
-    // place before Submit hands the record to the pool — a fast query can
-    // finalise before this thread regains control.
-    auto cost =
-        cacheable ? std::make_shared<std::atomic<uint64_t>>(0) : nullptr;
-    auto live =
-        cacheable ? std::make_shared<std::atomic<uint32_t>>(1) : nullptr;
-    rec->plan_cost = cost;
-    rec->plan_live = live;
-    SubmitToPool(rec, compiled, so, nullptr);
-    const bool accepted = CountScheduledLocked(rec.get());
-    if (cacheable && accepted) {
-      CacheEntry e;
-      e.plan = compiled;
-      e.owned = std::move(compiled_owner);
-      e.exact_key = std::move(exact_key);
-      e.canonical = rec;
-      e.plan_owner = rec;
-      e.cost = std::move(cost);
-      e.live = std::move(live);
-      e.timeout_seconds = EffectiveTimeout(so);
-      e.limit = EffectiveLimit(so);
-      if (options_.plan_cache_capacity > 0) {
-        lru_.push_front(key);
-        e.lru_it = lru_.begin();
+    if (!options_.plan_cache || uncacheable_hit) {
+      // The plan serves exactly this record and is freed at resolution
+      // (bounded retention for cache-off services).
+      ExecuteLocked(rec, compiled.get(), so, nullptr, false);
+      std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
+      if (!rec->resolved.load(std::memory_order_acquire)) {
+        rec->owned_plan = std::move(compiled);
       }
-      CacheSlot& slot = *cache_.emplace(std::move(key), std::move(e)).first;
-      exact_index_.emplace(slot.second.exact_key, &slot);
-      EvictIdlePlansLocked();
-    } else {
-      // Without the cache — or when this submission was shed by the queue
-      // bound (a rejected canonical would poison the structure's cache
-      // entry: repeats could never mirror again) — the plan serves exactly
-      // this record; it is freed at resolution (bounded
-      // retention for cache-off services).
-      {
-        std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
-        if (!rec->resolved.load(std::memory_order_acquire)) {
-          rec->owned_plan = std::move(compiled_owner);
-        } else {
-          // Resolved synchronously inside Submit (shed by the queue
-          // bound): the slot was already released, so free the plan
-          // right here instead of parking it on the record.
-          compiled_owner.reset();
-        }
-      }
+      // else: resolved synchronously inside Submit (shed by the queue
+      // bound) and its slot already released — the plan dies here.
+      return;
     }
-    records_.push_back(rec);
+    CacheEntry e;
+    e.exact_key = std::move(exact_key);
+    e.plan_owner = rec;
+    e.share = std::make_shared<PlanShare>();
+    e.timeout_seconds = EffectiveTimeout(so);
+    e.limit = EffectiveLimit(so);
+    if (options_.plan_cache_capacity > 0) {
+      lru_.push_front(key);
+      e.lru_it = lru_.begin();
+    }
+    // A first copy that is shed or cancelled leaves the entry without an
+    // outcome; the next copy then executes on the cached plan.
+    ExecuteLocked(rec, compiled.get(), so, e.share, true);
+    e.plan = std::move(compiled);
+    CacheSlot& slot = *cache_.emplace(std::move(key), std::move(e)).first;
+    exact_index_.emplace(slot.second.exact_key, &slot);
+    EvictIdlePlansLocked();
+  }
+
+  // Runs the record on the pool under `plan`. `share` (null when the plan
+  // is not cached) is pinned until the record resolves; `mirror_source`
+  // says the run's budgets equal the entry's. Callers hold mutex_.
+  void ExecuteLocked(const std::shared_ptr<QueryRecord>& rec,
+                     const QueryPlan* plan, const SubmitOptions& so,
+                     std::shared_ptr<PlanShare> share, bool mirror_source) {
+    if (share != nullptr) {
+      // Pinned before the pool can race an eviction pass; unpinned once,
+      // at resolution.
+      share->live.fetch_add(1, std::memory_order_acq_rel);
+      rec->plan_share = std::move(share);
+      rec->mirror_source = mirror_source;
+    }
+    SubmitToPool(rec, plan, so);
+    // A submission shed by the queue-depth bound resolves synchronously
+    // inside the scheduler's Submit; it counts as rejected, not executed
+    // (report semantics: `executed` = queries that actually ran).
+    if (!rec->resolved.load(std::memory_order_acquire) ||
+        rec->outcome.status != QueryStatus::kRejected) {
+      ++executed_;
+    }
+  }
+
+  // A submission that never reaches the pool: planning failed or the
+  // service is sealed. Resolves the fresh record at once; callers hold
+  // mutex_, and fire + notify after releasing it.
+  void FailLocked(const std::shared_ptr<QueryRecord>& rec, Status status,
+                  std::vector<FiredCompletion>* fire) {
+    rec->plan_status = std::move(status);
+    ++plan_errors_;
+    QueryOutcome out;
+    out.status = QueryStatus::kPlanError;
+    std::lock_guard<std::mutex> lock(resolve_mutex_);
+    ResolveLocked(rec, out, fire);
   }
 
   // Walks the LRU list cold-end-first, evicting idle (no in-flight
@@ -1206,7 +959,9 @@ class ServiceImpl {
     while (cache_.size() > cap && it != lru_.begin()) {
       --it;
       auto cit = cache_.find(*it);
-      if (cit->second.live->load(std::memory_order_acquire) != 0) continue;
+      if (cit->second.share->live.load(std::memory_order_acquire) != 0) {
+        continue;
+      }
       Metrics().plan_cache_evictions->Add();
       // erase returns the position after the erased element; the next
       // pass's --it lands on the element before it, so the walk keeps
@@ -1217,25 +972,11 @@ class ServiceImpl {
     }
   }
 
-  // A submission shed by the queue-depth bound resolves synchronously
-  // inside scheduler_.Submit (through the completion hook); classify it as
-  // rejected rather than executed (report semantics: `executed` = queries
-  // that actually ran). Returns whether the submission was accepted onto
-  // the pool. Callers hold mutex_.
-  bool CountScheduledLocked(QueryRecord* rec) {
-    if (rec->resolved.load(std::memory_order_acquire) &&
-        rec->outcome.status == QueryStatus::kRejected) {
-      return false;
-    }
-    ++executed_;
-    return true;
-  }
-
   // Opportunistic GC for long-lived services: a resolved record is a pure
   // read through whatever tickets still hold it and is never needed by
   // Shutdown's resolve-all loop, so it can leave the registry (the
-  // shared_ptr keeps live tickets valid, and cache canonicals stay
-  // reachable through cache_ / their mirrors). Amortised O(1): sweep only
+  // shared_ptr keeps live tickets valid, and plan owners stay reachable
+  // through cache_). Amortised O(1): sweep only
   // when the registry doubled since the last sweep. Callers hold mutex_.
   void SweepResolvedRecordsLocked() {
     if (records_.size() < 64 || records_.size() < 2 * last_sweep_size_) {
@@ -1270,8 +1011,6 @@ class ServiceImpl {
   uint64_t submitted_ = 0;
   uint64_t executed_ = 0;
   uint64_t mirrored_ = 0;
-  uint64_t redispatched_ = 0;  // mirrors re-executed after an abnormal
-                               // canonical (also counted in executed_)
   uint64_t plan_errors_ = 0;
   uint64_t plan_cache_hits_ = 0;
   uint64_t plan_cache_iso_hits_ = 0;  // hits whose exact key differed
@@ -1284,7 +1023,7 @@ class ServiceImpl {
   // only ever taken *under* resolve_mutex_ (Release/TryGet),
   // never the other way around — the scheduler fires completion hooks with
   // no lock held.
-  // Record resolution + mirror lists park on the shared gate (see
+  // Record resolution parks on the shared gate (see
   // ResolveGate); the references keep the service-internal code reading
   // as plain members.
   const std::shared_ptr<ResolveGate> gate_ = std::make_shared<ResolveGate>();

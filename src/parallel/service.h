@@ -84,24 +84,23 @@ struct ServiceOptions {
   bool defer_start = false;
 
   /// Detect repeated queries across *all* submissions of this service's
-  /// lifetime and reuse one compiled plan for all copies. A sink-less
-  /// repeat under the same timeout/limit budgets additionally skips
-  /// execution and mirrors the canonical copy's exact counts — unless the
-  /// canonical is already known to have ended abnormally
-  /// (timeout/cancelled), in which case the repeat executes on the shared
-  /// plan (and, if accepted, becomes the structure's new canonical).
+  /// lifetime and reuse one compiled plan for all copies. Each cache entry
+  /// also keeps the last *finished* ok/limit outcome of a run under the
+  /// budgets (timeout/limit) of the structure's first submission. A
+  /// sink-less repeat under those budgets resolves from that outcome
+  /// inside Submit(), marked mirrored, without executing. Every other
+  /// repeat executes on the shared plan with its own budgets and hooks:
+  /// a sink-ful one, one under other budgets, and one that arrives before
+  /// any run has finished ok or at its limit — including one that arrives
+  /// while an identical query is still running. Cancelled, timed-out and
+  /// rejected runs never become a mirror source, so no repeat shares
+  /// another query's fate.
   ///
-  /// Mirrors never fate-share: a mirror attached while its canonical is
-  /// still running is *re-dispatched* as an independent execution on the
-  /// shared compiled plan if the canonical ends cancelled or timed out —
-  /// it keeps its own budgets, tenant WFQ charge, completion hook and
-  /// trace span, and resolves with its own exact outcome; the first
-  /// accepted re-dispatch takes over as canonical, so mirroring resumes
-  /// for the structure. Cancelling a mirror resolves only that mirror
-  /// (kCancelled) and never disturbs the canonical execution or sibling
-  /// mirrors. The one remaining fate-share is Shutdown(): mirrors still
-  /// attached when the pool seals resolve from their canonical's outcome,
-  /// whatever it is, because nothing can execute any more.
+  /// Under AdmissionPolicy::kWeightedFair the plan cache also drives
+  /// cost-aware charging: each admission charges its tenant by the
+  /// measured task count of the previous complete run of the same plan
+  /// instead of a flat 1 unit, so tenant shares hold in *work* units when
+  /// query sizes are heterogeneous. First-seen and uncached plans charge 1.
   bool plan_cache = true;
 
   /// Key the plan cache by a canonical labelling of the query hypergraph
@@ -115,26 +114,18 @@ struct ServiceOptions {
   /// effect without plan_cache.
   bool plan_cache_isomorphism = true;
 
-  /// Cost-aware weighted-fair charging: under AdmissionPolicy::kWeightedFair
-  /// each admission charges its tenant by the measured task count of the
-  /// previous completed run of the same plan (tracked through the plan
-  /// cache) instead of a flat 1 unit, so tenant shares hold in *work* units
-  /// when query sizes are heterogeneous. First-seen plans charge 1. No
-  /// effect without plan_cache or under other admission policies.
-  bool cost_aware_wfq = true;
-
   /// Service-wide completion hook: invoked exactly once per submission —
   /// with its Ticket::id() and final outcome — at the moment the outcome
   /// finalises, whatever the terminal status (ok, timeout, limit,
   /// cancelled, rejected, plan-error) and whichever path produced it
-  /// (executed on the pool, mirrored from a canonical, cancelled while
+  /// (executed on the pool, mirrored from a finished run, cancelled while
   /// queued, shed by backpressure, rejected after Shutdown). Fired after
   /// the outcome is observable through Ticket::TryGet() and with no
   /// service or scheduler lock that the read-side API needs, so the hook
   /// may TryGet other tickets. It runs on whichever thread finalised the
-  /// outcome: a pool worker for executed queries (mirrors piggyback on
-  /// their canonical's finish), or the caller of Submit()/Cancel() —
-  /// before that call returns — for synchronously resolved submissions.
+  /// outcome: a pool worker for executed queries, or the caller of
+  /// Submit()/Cancel() — before that call returns — for synchronously
+  /// resolved submissions (mirrors among them).
   /// Keep it fast and non-blocking, and do not call Submit/Wait/Cancel/
   /// Drain/Shutdown on this service from inside it. The wire front end
   /// (net/server.h) uses this hook to wake its serving loop the instant a
@@ -164,9 +155,6 @@ struct ServiceReport {
   uint64_t submitted = 0;        // every Submit() call
   uint64_t executed = 0;         // queries that actually ran on the pool
   uint64_t mirrored = 0;         // sink-less repeats resolved from the cache
-  uint64_t redispatched = 0;     // mirrors re-executed after their canonical
-                                 // ended cancelled/timed out (these moved
-                                 // from mirrored to executed)
   uint64_t rejected = 0;         // shed by the max_queued_queries bound
   uint64_t plan_errors = 0;      // submissions that failed planning
   uint64_t plan_cache_hits = 0;  // submissions that reused a compiled plan
@@ -217,14 +205,12 @@ class Ticket {
   /// Non-blocking Wait: null until the query has finished.
   const QueryOutcome* TryGet() const;
 
-  /// Requests cancellation. A query waiting for admission (or a not yet
-  /// resolved mirror) resolves immediately with QueryStatus::kCancelled; an
-  /// in-flight query stops at the next task boundary, keeping the partial
-  /// counts it completed. Cancelling a mirror detaches and resolves only
-  /// that mirror — the canonical execution and sibling mirrors are
-  /// untouched; cancelling a canonical re-dispatches its attached mirrors
-  /// instead of dragging them down (see ServiceOptions::plan_cache).
-  /// Returns false iff the query had already finished.
+  /// Requests cancellation. A query waiting for admission resolves
+  /// immediately with QueryStatus::kCancelled; an in-flight query stops at
+  /// the next task boundary, keeping the partial counts it completed. Every
+  /// executed copy of a repeated query runs on its own, so cancelling one
+  /// never touches another. Returns false iff the query had already
+  /// finished (mirrors resolve inside Submit(), so they always have).
   bool Cancel() const;
 
  private:
@@ -287,18 +273,19 @@ class SchedulerPool {
 /// Outcome delivery is completion-driven: the service hangs a completion
 /// hook on every pool submission, and the moment the scheduler finalises a
 /// query the hook copies the outcome into the ticket record, releases the
-/// scheduler slot, resolves any mirrors attached to the record, wakes every
-/// Ticket::Wait, and fires the user-visible completion hooks (per-submit
-/// SubmitOptions::completion, then ServiceOptions::on_query_complete) —
-/// exactly once per submission, on the thread that finalised the outcome.
+/// scheduler slot, wakes every Ticket::Wait, and fires the user-visible
+/// completion hooks (per-submit SubmitOptions::completion, then
+/// ServiceOptions::on_query_complete) — exactly once per submission, on
+/// the thread that finalised the outcome.
 ///
 /// Retention is bounded for a long-lived service: a query's heavy
 /// execution state is recycled the moment it finishes, its scheduler slot
 /// is recycled at that same instant (the completion hook resolves the
 /// record eagerly — outcomes need not be retrieved for memory to stay
 /// bounded), and resolved ticket records are swept opportunistically, so
-/// memory tracks in-flight work plus the plan cache (one plan + canonical
-/// outcome per distinct query structure), not the total ever submitted.
+/// memory tracks in-flight work plus the plan cache (one plan and at most
+/// one finished outcome per distinct query structure), not the total ever
+/// submitted.
 ///
 /// The batch engine (parallel/batch_runner.h RunBatch) is a thin facade
 /// over this class: submit all, wait all, map outcomes to input order.

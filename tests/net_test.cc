@@ -26,7 +26,6 @@
 #include "core/hgmatch.h"
 #include "io/binary_format.h"
 #include "io/byte_io.h"
-#include "obs/metrics.h"
 #include "tests/test_fixtures.h"
 #include "util/rng.h"
 
@@ -746,37 +745,58 @@ TEST(NetTest, CancelOverTheWireStopsAnInFlightQuery) {
   server.Stop();
 }
 
-TEST(NetTest, CancelOfMirroredDuplicateResolvesWhileCanonicalStillRuns) {
-  // A sink-less structural duplicate of a *running* query becomes a plan
-  // -cache mirror with no scheduler slot of its own; cancelling it must
-  // deliver its kCancelled outcome immediately, not after the canonical
-  // eventually finishes (which at this scale is never).
+// Two structurally identical sink-less copies of a cheap query, both
+// queued behind a monster plug that holds the only admission slot. The
+// second copy arrives while the first is still pending, so there is no
+// finished outcome to mirror and each copy executes on its own: cancelling
+// either one must leave the other exact (a stranded outcome hangs this
+// test into its TIMEOUT).
+void CancelOneOfTwoDuplicates(bool cancel_first) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
+  const uint64_t expected =
+      MatchSequential(idx, PathQuery(1)).value().embeddings;
   ServerOptions options = LoopbackOptions(2);
   options.service.parallel.scan_grain = 64;
   options.service.task_quota = 64;  // plan_cache stays on (default)
+  options.service.max_inflight_queries = 1;
   MatchServer server(idx, options);
   ASSERT_TRUE(server.Start().ok());
 
   MatchClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  Result<uint64_t> canonical = client.Submit(PathQuery(4));
-  Result<uint64_t> mirror = client.Submit(PathQuery(4));
-  ASSERT_TRUE(canonical.ok() && mirror.ok());
+  Result<uint64_t> plug = client.Submit(PathQuery(4));
+  Result<uint64_t> first = client.Submit(PathQuery(1));
+  Result<uint64_t> second = client.Submit(PathQuery(1));
+  ASSERT_TRUE(plug.ok() && first.ok() && second.ok());
+  const uint64_t cancelled = cancel_first ? first.value() : second.value();
+  const uint64_t kept = cancel_first ? second.value() : first.value();
 
-  ASSERT_TRUE(client.Cancel(mirror.value()).ok());
-  Result<WireOutcome> mirror_reply = client.WaitOutcome(mirror.value());
-  ASSERT_TRUE(mirror_reply.ok());
-  EXPECT_EQ(mirror_reply.value().outcome.status, QueryStatus::kCancelled);
-  EXPECT_TRUE(mirror_reply.value().outcome.mirrored);
+  // Cancelled while queued: delivered at once, with the plug still running.
+  ASSERT_TRUE(client.Cancel(cancelled).ok());
+  Result<WireOutcome> cancelled_reply = client.WaitOutcome(cancelled);
+  ASSERT_TRUE(cancelled_reply.ok());
+  EXPECT_EQ(cancelled_reply.value().outcome.status, QueryStatus::kCancelled);
+  EXPECT_FALSE(cancelled_reply.value().outcome.mirrored);
 
-  ASSERT_TRUE(client.Cancel(canonical.value()).ok());
-  Result<WireOutcome> canonical_reply =
-      client.WaitOutcome(canonical.value());
-  ASSERT_TRUE(canonical_reply.ok());
-  EXPECT_EQ(canonical_reply.value().outcome.status,
-            QueryStatus::kCancelled);
+  // Freeing the slot lets the other copy run to completion.
+  ASSERT_TRUE(client.Cancel(plug.value()).ok());
+  Result<WireOutcome> kept_reply = client.WaitOutcome(kept);
+  ASSERT_TRUE(kept_reply.ok());
+  EXPECT_EQ(kept_reply.value().outcome.status, QueryStatus::kOk);
+  EXPECT_FALSE(kept_reply.value().outcome.mirrored);
+  EXPECT_EQ(kept_reply.value().outcome.stats.embeddings, expected);
+  Result<WireOutcome> plug_reply = client.WaitOutcome(plug.value());
+  ASSERT_TRUE(plug_reply.ok());
+  EXPECT_EQ(plug_reply.value().outcome.status, QueryStatus::kCancelled);
   server.Stop();
+}
+
+TEST(NetTest, CancelOfDuplicateLeavesTheFirstCopyExact) {
+  CancelOneOfTwoDuplicates(/*cancel_first=*/false);
+}
+
+TEST(NetTest, CancelOfFirstCopyLeavesTheDuplicateExact) {
+  CancelOneOfTwoDuplicates(/*cancel_first=*/true);
 }
 
 TEST(NetTest, ConnectionDropCancelsItsInFlightQueries) {
@@ -1062,50 +1082,6 @@ TEST(NetTest, RemoteShutdownIsRefusedWhenDisabled) {
   ASSERT_TRUE(client.RequestShutdown().ok());  // sends fine...
   EXPECT_FALSE(client.Ping().ok());  // ...but the server errors and closes
   EXPECT_FALSE(server.WaitFor(0.2));  // and keeps serving
-  server.Stop();
-}
-
-TEST(NetTest, RedispatchedMirrorOutcomesAreDelivered) {
-  // A mirror of a cancelled canonical does not inherit the cancellation:
-  // it re-dispatches as its own execution, and its outcome still reaches
-  // the wire with exact counts (a stranded outcome hangs this test into
-  // its TIMEOUT). A monster plug holds the only admission slot, so the
-  // canonical and its mirror are both still queued when the cancel lands.
-  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
-  const uint64_t expected =
-      MatchSequential(idx, PathQuery(1)).value().embeddings;
-  ServerOptions options = LoopbackOptions(2);
-  options.service.parallel.scan_grain = 64;
-  options.service.task_quota = 64;  // plan_cache stays on (default)
-  options.service.max_inflight_queries = 1;
-  MatchServer server(idx, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  const Counter* redispatched = MetricsRegistry::Default().GetCounter(
-      "hgmatch_queries_redispatched_total");
-  const uint64_t redispatched_before = redispatched->Value();
-  MatchClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  Result<uint64_t> plug = client.Submit(PathQuery(4));
-  Result<uint64_t> canonical = client.Submit(PathQuery(1));
-  Result<uint64_t> mirror = client.Submit(PathQuery(1));  // attaches
-  ASSERT_TRUE(plug.ok() && canonical.ok() && mirror.ok());
-  ASSERT_TRUE(client.Cancel(canonical.value()).ok());
-  Result<WireOutcome> canonical_reply = client.WaitOutcome(canonical.value());
-  ASSERT_TRUE(canonical_reply.ok());
-  EXPECT_EQ(canonical_reply.value().outcome.status, QueryStatus::kCancelled);
-
-  // Freeing the slot lets the re-dispatched mirror run to completion.
-  ASSERT_TRUE(client.Cancel(plug.value()).ok());
-  Result<WireOutcome> mirror_reply = client.WaitOutcome(mirror.value());
-  ASSERT_TRUE(mirror_reply.ok());
-  EXPECT_EQ(mirror_reply.value().outcome.status, QueryStatus::kOk);
-  EXPECT_FALSE(mirror_reply.value().outcome.mirrored);
-  EXPECT_EQ(mirror_reply.value().outcome.stats.embeddings, expected);
-  EXPECT_EQ(redispatched->Value() - redispatched_before, 1u);
-  Result<WireOutcome> plug_reply = client.WaitOutcome(plug.value());
-  ASSERT_TRUE(plug_reply.ok());
-  EXPECT_EQ(plug_reply.value().outcome.status, QueryStatus::kCancelled);
   server.Stop();
 }
 

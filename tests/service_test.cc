@@ -235,12 +235,13 @@ TEST(ServiceTest, WaitAfterShutdownReturnsStoredOutcomes) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   MatchService service(idx, BaseOptions(2));
   Ticket a = service.Submit(PaperQueryHypergraph());
+  (void)a.Wait();
   Ticket b = service.Submit(PaperQueryHypergraph());
   service.Shutdown();
 
   EXPECT_EQ(a.Wait().stats.embeddings, 2u);
   EXPECT_EQ(b.Wait().stats.embeddings, 2u);
-  EXPECT_EQ(b.Wait().mirrored, true);  // sink-less structural repeat
+  EXPECT_EQ(b.Wait().mirrored, true);  // repeat of a finished run
 
   // Submissions after Shutdown are rejected, not lost in limbo.
   Ticket late = service.Submit(PaperQueryHypergraph());
@@ -256,8 +257,8 @@ TEST(ServiceTest, PlanCacheMirrorsRepeatsAcrossSubmissions) {
   EXPECT_EQ(first.Wait().stats.embeddings, 2u);
   EXPECT_FALSE(first.Wait().mirrored);
 
-  // A structurally identical sink-less repeat, submitted long after the
-  // canonical finished, mirrors its exact counts instead of executing.
+  // A structurally identical sink-less repeat, submitted after the first
+  // copy finished, mirrors its exact counts instead of executing.
   Ticket repeat = service.Submit(PaperQueryHypergraph());
   EXPECT_EQ(repeat.Wait().stats.embeddings, 2u);
   EXPECT_TRUE(repeat.Wait().mirrored);
@@ -514,9 +515,9 @@ TEST(ServiceTest, RejectedSubmissionDoesNotPoisonThePlanCache) {
   gate.Release();
   service.Drain();
 
-  // The shed first-of-its-shape submission must NOT have become the
-  // shape's cache canonical: the next copy is a cache *miss* that
-  // executes normally, and only then do repeats mirror it.
+  // The shed first-of-its-shape submission cached the shape's plan but
+  // left no outcome to mirror: the next copy hits the plan and executes
+  // normally, and only then do repeats mirror it.
   Ticket again = service.Submit(edge_query(0, 2));
   EXPECT_EQ(again.Wait().status, QueryStatus::kOk);
   EXPECT_FALSE(again.Wait().mirrored);
@@ -529,10 +530,10 @@ TEST(ServiceTest, RejectedSubmissionDoesNotPoisonThePlanCache) {
   EXPECT_EQ(report.submitted, 5u);
   EXPECT_EQ(report.rejected, 1u);
   EXPECT_EQ(report.mirrored, 1u);
-  // plug, waiting, shed and `again` each compiled a plan (the rejected
-  // one was deliberately not cached); only `repeat` hit the cache.
-  EXPECT_EQ(report.unique_plans, 4u);
-  EXPECT_EQ(report.plan_cache_hits, 1u);
+  // plug, waiting and shed each compiled a plan; `again` and `repeat` hit
+  // the one the shed copy cached.
+  EXPECT_EQ(report.unique_plans, 3u);
+  EXPECT_EQ(report.plan_cache_hits, 2u);
 }
 
 TEST(ServiceTest, AcceptedRunRestoresMirroringAfterCancelledCanonical) {
@@ -548,8 +549,8 @@ TEST(ServiceTest, AcceptedRunRestoresMirroringAfterCancelledCanonical) {
   Ticket plug = service.Submit(PaperQueryHypergraph(), plug_options);
   gate.AwaitEntered();
 
-  // The first submission of this shape becomes its cache canonical, then
-  // is cancelled while waiting — an unusable source of counts.
+  // The first submission of this shape caches its plan, then is
+  // cancelled while waiting — an unusable source of counts.
   auto shape = [] {
     Hypergraph q;
     q.AddVertex(0);
@@ -564,9 +565,9 @@ TEST(ServiceTest, AcceptedRunRestoresMirroringAfterCancelledCanonical) {
   gate.Release();
   service.Drain();
 
-  // The next same-budget copy cannot mirror the cancelled canonical, so
-  // it executes — and takes over as canonical, restoring mirroring for
-  // every copy after it.
+  // The next same-budget copy has no finished outcome to mirror, so it
+  // executes — and its ok outcome restores mirroring for every copy
+  // after it.
   Ticket second = service.Submit(shape());
   EXPECT_EQ(second.Wait().status, QueryStatus::kOk);
   EXPECT_FALSE(second.Wait().mirrored);
@@ -581,130 +582,54 @@ TEST(ServiceTest, AcceptedRunRestoresMirroringAfterCancelledCanonical) {
   EXPECT_EQ(report.unique_plans, 2u);     // the plug's shape + this shape
 }
 
-// Single-edge query {0,1} over two distinct labels — the throwaway shape
-// used by the mirror/re-dispatch tests so the plug's plan never collides.
-Hypergraph TwoLabelEdgeQuery() {
-  Hypergraph q;
-  q.AddVertex(0);
-  q.AddVertex(1);
-  (void)q.AddEdge({0, 1});
-  return q;
-}
-
-TEST(ServiceTest, CancelledCanonicalRedispatchesLiveMirrors) {
-  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-  const uint64_t expected =
-      MatchSequential(idx, TwoLabelEdgeQuery()).value().embeddings;
-
-  ServiceOptions options = BaseOptions(2);
-  options.max_inflight_queries = 1;
-  MatchService service(idx, options);
-
-  GateSink gate;
-  SubmitOptions plug_options;
-  plug_options.sink = &gate;
-  Ticket plug = service.Submit(PaperQueryHypergraph(), plug_options);
-  gate.AwaitEntered();  // the plug holds the only admission slot
-
-  // Canonical + two live mirrors, all pending behind the plug.
-  Ticket canonical = service.Submit(TwoLabelEdgeQuery());
-  Ticket m1 = service.Submit(TwoLabelEdgeQuery());
-  Ticket m2 = service.Submit(TwoLabelEdgeQuery());
-
-  // Cancelling the canonical must not take the mirrors with it: they
-  // re-dispatch as independent executions on the shared compiled plan.
-  EXPECT_TRUE(canonical.Cancel());
-  EXPECT_EQ(canonical.Wait().status, QueryStatus::kCancelled);
-
-  gate.Release();
-  service.Drain();
-  for (Ticket* t : {&m1, &m2}) {
-    const QueryOutcome& out = t->Wait();
-    EXPECT_EQ(out.status, QueryStatus::kOk);
-    EXPECT_FALSE(out.mirrored);  // executed for real, not copied
-    EXPECT_EQ(out.stats.embeddings, expected);
-  }
-  EXPECT_EQ(plug.Wait().status, QueryStatus::kOk);
-
-  const ServiceReport report = service.Shutdown();
-  EXPECT_EQ(report.redispatched, 2u);
-  EXPECT_EQ(report.mirrored, 0u);  // both re-dispatches moved out
-  EXPECT_EQ(report.plan_cache_hits, 2u);
-  EXPECT_EQ(report.unique_plans, 2u);
-}
-
-TEST(ServiceTest, TimedOutCanonicalRedispatchesMirror) {
-  // Sized so the post-release remainder of the canonical's work crosses
+TEST(ServiceTest, DuplicateOfRunningQueryExecutesUnderItsOwnBudget) {
+  // Sized so the post-release remainder of the first copy's work crosses
   // the scheduler's 1024-call deadline-poll stride: the worker then sees
   // the expired budget and drops the rest — a real per-query timeout.
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(12));
   const uint64_t expected =
       MatchSequential(idx, PathQuery(3)).value().embeddings;
 
-  // One worker: the canonical blocks it in the gated sink past its own
-  // deadline, so everything after the release is over budget.
-  MatchService service(idx, BaseOptions(1));
-
-  GateSink gate;
-  SubmitOptions canonical_options;
-  canonical_options.sink = &gate;
-  canonical_options.timeout_seconds = 1.0;
-  Ticket canonical = service.Submit(PathQuery(3), canonical_options);
-  gate.AwaitEntered();
-
-  // Same budgets, no sink: attaches to the blocked canonical as a mirror.
-  SubmitOptions mirror_options;
-  mirror_options.timeout_seconds = 1.0;
-  Ticket mirror = service.Submit(PathQuery(3), mirror_options);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
-  gate.Release();
-
-  EXPECT_EQ(canonical.Wait().status, QueryStatus::kTimeout);
-  // The mirror's timeout budget arms at its *own* re-admission, so the
-  // re-dispatched run finishes comfortably and stays exact.
-  const QueryOutcome& out = mirror.Wait();
-  EXPECT_EQ(out.status, QueryStatus::kOk);
-  EXPECT_FALSE(out.mirrored);
-  EXPECT_EQ(out.stats.embeddings, expected);
-
-  const ServiceReport report = service.Shutdown();
-  EXPECT_EQ(report.redispatched, 1u);
-  EXPECT_EQ(report.mirrored, 0u);
-}
-
-TEST(ServiceTest, CancelMirrorLeavesCanonicalUntouched) {
-  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-  const uint64_t expected =
-      MatchSequential(idx, TwoLabelEdgeQuery()).value().embeddings;
-
-  ServiceOptions options = BaseOptions(2);
+  // One worker and a window of one: the first copy blocks the worker in
+  // the gated sink past its own deadline, and the duplicate waits for
+  // admission, where its own budget arms.
+  ServiceOptions options = BaseOptions(1);
   options.max_inflight_queries = 1;
   MatchService service(idx, options);
 
   GateSink gate;
-  SubmitOptions plug_options;
-  plug_options.sink = &gate;
-  Ticket plug = service.Submit(PaperQueryHypergraph(), plug_options);
+  SubmitOptions first_options;
+  first_options.sink = &gate;
+  first_options.timeout_seconds = 1.0;
+  Ticket first = service.Submit(PathQuery(3), first_options);
   gate.AwaitEntered();
 
-  Ticket canonical = service.Submit(TwoLabelEdgeQuery());
-  Ticket mirror = service.Submit(TwoLabelEdgeQuery());
+  // Same budgets, no sink, submitted while the first copy is running:
+  // nothing has finished to mirror, so it executes on the cached plan.
+  SubmitOptions dup_options;
+  dup_options.timeout_seconds = 1.0;
+  Ticket duplicate = service.Submit(PathQuery(3), dup_options);
+  EXPECT_EQ(duplicate.TryGet(), nullptr);
 
-  // Cancelling a mirror detaches and resolves only that mirror …
-  EXPECT_TRUE(mirror.Cancel());
-  const QueryOutcome* out = mirror.TryGet();
-  ASSERT_NE(out, nullptr);  // resolved immediately, no pool round-trip
-  EXPECT_EQ(out->status, QueryStatus::kCancelled);
-  // … while the canonical is still pending and completes untouched.
-  EXPECT_EQ(canonical.TryGet(), nullptr);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
   gate.Release();
-  service.Drain();
-  EXPECT_EQ(canonical.Wait().status, QueryStatus::kOk);
-  EXPECT_EQ(canonical.Wait().stats.embeddings, expected);
+
+  EXPECT_EQ(first.Wait().status, QueryStatus::kTimeout);
+  const QueryOutcome& out = duplicate.Wait();
+  EXPECT_EQ(out.status, QueryStatus::kOk);
+  EXPECT_FALSE(out.mirrored);
+  EXPECT_EQ(out.stats.embeddings, expected);
+
+  // The timed-out run left nothing to mirror; the duplicate's ok run did.
+  Ticket third = service.Submit(PathQuery(3), dup_options);
+  EXPECT_TRUE(third.Wait().mirrored);
+  EXPECT_EQ(third.Wait().stats.embeddings, expected);
 
   const ServiceReport report = service.Shutdown();
-  EXPECT_EQ(report.redispatched, 0u);
+  EXPECT_EQ(report.executed, 2u);
+  EXPECT_EQ(report.mirrored, 1u);
+  EXPECT_EQ(report.plan_cache_hits, 2u);
+  EXPECT_EQ(report.unique_plans, 1u);
 }
 
 TEST(ServiceTest, IsomorphicRepeatHitsPlanCacheAndMirrors) {
@@ -863,7 +788,7 @@ TEST(ServiceTest, CostAwareWfqHoldsSharesUnderHeterogeneousQuerySizes) {
   ServiceOptions options = BaseOptions(2);
   options.admission = AdmissionPolicy::kWeightedFair;
   options.max_inflight_queries = 1;
-  // plan_cache + cost_aware_wfq stay at their defaults (both on).
+  // plan_cache stays at its default (on): cost-aware charging needs it.
   MatchService service(idx, options);
 
   // Teach the plan cache each plan's measured task count.
@@ -1005,10 +930,10 @@ TEST(ServiceCallbackTest, HooksFireOnceForEveryResolutionPath) {
   Ticket executed = service.Submit(PaperQueryHypergraph(), with_hook);
   EXPECT_EQ(executed.Wait().status, QueryStatus::kOk);
 
-  // Mirrored: a sink-less repeat of the finished canonical resolves inside
-  // Submit — its hook has fired by the time Submit returns. (The canonical
-  // resolved on a pool worker; Wait above proves resolution, and the
-  // repeat's cache hit below proves the canonical outcome is mirrorable.)
+  // Mirrored: a sink-less repeat of the finished query resolves inside
+  // Submit — its hook has fired by the time Submit returns. (The first
+  // copy resolved on a pool worker, and Wait above proves it finished ok,
+  // which is what makes its outcome mirrorable.)
   Ticket mirror = service.Submit(PaperQueryHypergraph());
   EXPECT_EQ(status_of(mirror), (std::pair<int, QueryStatus>{
                                    1, QueryStatus::kOk}));
@@ -1061,73 +986,10 @@ TEST(ServiceCallbackTest, HooksFireOnceForEveryResolutionPath) {
   }
 }
 
-TEST(ServiceCallbackTest, MirrorHooksShareTheCanonicalFinish) {
-  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-
-  ServiceOptions options = BaseOptions(2);
-  options.max_inflight_queries = 1;
-  MatchService service(idx, options);
-
-  GateSink gate;
-  SubmitOptions plug_options;
-  plug_options.sink = &gate;
-  Ticket plug = service.Submit(PaperQueryHypergraph(), plug_options);
-  gate.AwaitEntered();  // the plug holds the only admission slot
-
-  // A fresh structure queued behind the plug, plus two sink-less repeats
-  // that attach to it as mirrors while it is still unresolved.
-  auto shape = [] {
-    Hypergraph q;
-    q.AddVertex(0);
-    q.AddVertex(1);
-    (void)q.AddEdge({0, 1});
-    return q;
-  };
-  std::atomic<int> canonical_fires{0}, mirror_fires{0}, cancel_fires{0};
-  std::atomic<bool> canonical_was_first{false};
-  SubmitOptions canonical_options;
-  canonical_options.completion = [&](const QueryOutcome&) {
-    canonical_fires.fetch_add(1);
-  };
-  Ticket canonical = service.Submit(shape(), canonical_options);
-  SubmitOptions mirror_options;
-  mirror_options.completion = [&](const QueryOutcome& out) {
-    mirror_fires.fetch_add(1);
-    EXPECT_TRUE(out.mirrored);
-    // Mirrors resolve in the same step as their canonical, after it.
-    canonical_was_first.store(canonical_fires.load() == 1);
-  };
-  Ticket mirror = service.Submit(shape(), mirror_options);
-  SubmitOptions doomed_options;
-  doomed_options.completion = [&](const QueryOutcome& out) {
-    cancel_fires.fetch_add(1);
-    EXPECT_EQ(out.status, QueryStatus::kCancelled);
-  };
-  Ticket doomed_mirror = service.Submit(shape(), doomed_options);
-
-  // Cancelling a mirror resolves it (and fires its hooks) immediately,
-  // while canonical and sibling stay pending.
-  EXPECT_TRUE(doomed_mirror.Cancel());
-  EXPECT_EQ(cancel_fires.load(), 1);
-  EXPECT_EQ(canonical_fires.load(), 0);
-  EXPECT_EQ(mirror_fires.load(), 0);
-
-  gate.Release();
-  const QueryOutcome& out = mirror.Wait();
-  EXPECT_EQ(out.status, QueryStatus::kOk);
-  EXPECT_TRUE(out.mirrored);
-  EXPECT_EQ(canonical.Wait().status, QueryStatus::kOk);
-  service.Shutdown();  // joins the pool: every hook has fired by now
-  EXPECT_EQ(canonical_fires.load(), 1);
-  EXPECT_EQ(mirror_fires.load(), 1);
-  EXPECT_EQ(cancel_fires.load(), 1);
-  EXPECT_TRUE(canonical_was_first.load());
-}
-
 // --------------------------------------------------- randomized soak test --
 
 // N submitter threads churn a seeded mix of submit / wait / bounded-wait /
-// cancel / tiny-timeout / mirrored-duplicate operations against one
+// cancel / tiny-timeout / cancelled-duplicate operations against one
 // MatchService; every outcome that claims exact counts is cross-checked
 // against MatchSequential, and the per-submit completion hook is counted
 // for exactly-once delivery. The seed is deterministic (override with
@@ -1198,10 +1060,10 @@ TEST(ServiceSoakTest, RandomizedChurnCrossChecksSequential) {
             fail(op, "embedding count mismatch");
           }
         } else if (roll < 60) {
-          // Sink-less submit: may execute or mirror — either way the
-          // outcome must be ok with exact counts. A mirror whose
-          // canonical another thread cancels re-dispatches instead of
-          // inheriting the cancellation, so no other status is legal.
+          // Sink-less submit: executes, or mirrors a finished ok run —
+          // either way the outcome must be ok with exact counts.
+          // Cancelled and timed-out runs are never mirrored, so no other
+          // status is legal.
           Ticket ticket = service.Submit(shapes[shape].Clone(), so);
           const QueryOutcome& out = ticket.Wait();
           if (out.status != QueryStatus::kOk) {
@@ -1227,11 +1089,11 @@ TEST(ServiceSoakTest, RandomizedChurnCrossChecksSequential) {
             fail(op, "cancel-race count mismatch");
           }
         } else if (roll < 80) {
-          // Mirrored duplicate + cancelled canonical: a sink-ful copy (a
-          // canonical candidate), a sink-less duplicate that may attach
-          // to it as a mirror, then cancel the first. The duplicate must
-          // never inherit the cancellation — it re-dispatches and stays
-          // exact.
+          // Duplicate + cancelled first copy: a sink-ful copy, a
+          // sink-less duplicate submitted while it may still be running
+          // (the duplicate then executes on the shared plan, or mirrors
+          // an earlier finished ok run), then cancel the first. The
+          // duplicate never inherits the cancellation and stays exact.
           CountSink sink;
           so.sink = &sink;
           Ticket victim = service.Submit(shapes[shape].Clone(), so);

@@ -442,7 +442,7 @@ int CmdBatch(int argc, char** argv) {
   }
   std::printf("batch: %llu queries (%llu completed), embeddings %llu "
               "in %.3fs (%llu executed at %.1f queries/s, %llu mirrored, "
-              "%llu re-dispatched, peak task mem %llu bytes, "
+              "peak task mem %llu bytes, "
               "%llu plan-cache hits of which %llu isomorphic)\n",
               static_cast<unsigned long long>(r.queries.size()),
               static_cast<unsigned long long>(r.completed),
@@ -450,7 +450,6 @@ int CmdBatch(int argc, char** argv) {
               static_cast<unsigned long long>(r.executed),
               r.QueriesPerSecond(),
               static_cast<unsigned long long>(r.mirrored),
-              static_cast<unsigned long long>(r.redispatched),
               static_cast<unsigned long long>(r.peak_task_bytes),
               static_cast<unsigned long long>(r.plan_cache_hits),
               static_cast<unsigned long long>(r.plan_cache_isomorphic_hits));
